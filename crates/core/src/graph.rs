@@ -4,11 +4,14 @@
 //! Two construction implementations produce identical graphs:
 //!
 //! * **Indexed** (the default, [`GraphImpl::Indexed`]) — pass 1 buckets
-//!   candidate pairs per concept into a CSR arena sorted by sentiment;
-//!   pass 2 walks each target pair's precomputed ancestor closure
-//!   ([`osa_ontology::AncestorIndex`]) and resolves the ε-window
-//!   `[s − ε, s + ε]` with two binary searches, deduplicating candidates
-//!   through a dense epoch-stamped scratch ([`GraphBuildScratch`]).
+//!   candidate pairs per member concept (only the item's own concepts get
+//!   a bucket), each sorted by sentiment; pass 2 walks each target pair's
+//!   ancestor row ([`osa_ontology::AncestorIndex::ancestors`] or the
+//!   memoized [`osa_ontology::SegmentIndex::ancestors`]), finds each
+//!   ancestor's bucket through an `O(1)` slot table, and resolves the
+//!   ε-window `[s − ε, s + ε]` with two binary searches, deduplicating
+//!   candidates through a dense epoch-stamped scratch
+//!   ([`GraphBuildScratch`]).
 //!   Pass 2 is embarrassingly parallel over pair ranges: see
 //!   [`GraphBuildPlan::shard`] and [`CoverageGraph::assemble`], which
 //!   `osa-runtime` drives from a worker pool with an in-order merge so
@@ -27,7 +30,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use osa_ontology::{AncestorImpl, AncestorIndex, Hierarchy, NodeId, SegmentIndex, SegmentScratch};
+use osa_ontology::{AncestorImpl, AncestorIndex, Hierarchy, NodeId, SegmentIndex};
 
 use crate::Pair;
 
@@ -104,8 +107,9 @@ impl GraphImpl {
 
 /// Reusable dense scratch of the indexed builder: per-candidate best
 /// distance for the pair currently being resolved, deduplicated by an
-/// epoch stamp instead of clearing (or hashing) between pairs. One
-/// scratch amortizes across any number of builds of any size; workers in
+/// epoch stamp instead of clearing (or hashing) between pairs, plus the
+/// node → bucket slot table of the plan being sharded. One scratch
+/// amortizes across any number of builds of any size; workers in
 /// `osa-runtime` keep one per thread.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuildScratch {
@@ -116,11 +120,11 @@ pub struct GraphBuildScratch {
     /// Candidates stamped in the current epoch.
     touched: Vec<u32>,
     epoch: u32,
-    /// Segment-walk buffers for [`AncestorImpl::Segmented`] plans; unused
-    /// (and unallocated) on the dense path.
-    seg: SegmentScratch,
-    /// Ancestor output of the segment walk, reused across pairs.
-    anc_buf: Vec<(NodeId, u32)>,
+    /// Node → bucket of the bound plan, one `u32` per hierarchy node. An
+    /// entry is valid only when the plan's concept list agrees
+    /// (`concepts[slot[n]] == n`), so stale entries from earlier plans
+    /// never need clearing.
+    slot: Vec<u32>,
 }
 
 impl GraphBuildScratch {
@@ -135,6 +139,17 @@ impl GraphBuildScratch {
             self.stamp.resize(n_cands, 0);
         }
         self.touched.clear();
+    }
+
+    /// Point the slot table at `plan`'s buckets: `O(buckets)`, after a
+    /// one-time `O(n_nodes)` allocation per scratch and hierarchy size.
+    fn bind(&mut self, plan: &GraphBuildPlan, n_nodes: usize) {
+        if self.slot.len() < n_nodes {
+            self.slot.resize(n_nodes, 0);
+        }
+        for (b, c) in plan.concepts.iter().enumerate() {
+            self.slot[c.index()] = b as u32;
+        }
     }
 
     /// Start resolving a new target pair; invalidates all stamps.
@@ -166,14 +181,19 @@ impl GraphBuildScratch {
 }
 
 /// Pass 1 of the indexed builder, reusable across shards: candidate
-/// member pairs bucketed per concept into a CSR arena, each bucket sorted
-/// by sentiment so pass 2 can window it with two binary searches.
+/// member pairs bucketed per concept, each bucket sorted by sentiment so
+/// pass 2 can window it with two binary searches. Only the item's own
+/// member concepts get a bucket, so a plan's size and build cost grow with
+/// the item, not with the hierarchy.
 #[derive(Debug, Clone)]
 pub struct GraphBuildPlan {
     eps: f64,
     root: NodeId,
     n_cands: usize,
-    /// CSR offsets per concept node into `bucket_entries`.
+    /// The distinct member concepts, ascending; bucket `b` holds the
+    /// members on `concepts[b]`.
+    concepts: Vec<NodeId>,
+    /// CSR offsets per bucket into `bucket_entries`.
     bucket_off: Vec<u32>,
     /// `(sentiment, candidate)` per bucket, sorted ascending (ties by
     /// candidate id; the order within equal sentiments is irrelevant to
@@ -190,10 +210,87 @@ pub struct GraphBuildPlan {
 }
 
 /// The ancestor index a shard walks, resolved once per shard from the
-/// plan's [`AncestorImpl`].
+/// plan's [`AncestorImpl`]. Both answer with the same sorted row.
+#[derive(Clone, Copy)]
 enum AncestorSource<'h> {
     Dense(&'h AncestorIndex),
     Segmented(&'h SegmentIndex),
+}
+
+impl<'h> AncestorSource<'h> {
+    #[inline]
+    fn ancestors(self, n: NodeId) -> &'h [(NodeId, u32)] {
+        match self {
+            AncestorSource::Dense(index) => index.ancestors(n),
+            AncestorSource::Segmented(index) => index.ancestors(n),
+        }
+    }
+}
+
+/// A member entry before bucketing, packed so that plain integer order is
+/// the bucket order: concept, then sentiment (in [`f64::total_cmp`]
+/// order), then candidate. Pass 1 then sorts integers (a three-key
+/// comparator sort took twice as long on doctors-corpus items), and
+/// merging two sorted runs reproduces a full sort exactly (ties are
+/// identical keys).
+type Member = u128;
+
+fn pack(concept: NodeId, sentiment: f64, cand: u32) -> Member {
+    // The radix-sort float key: flipping every bit of a negative and the
+    // sign bit of a non-negative makes unsigned order `total_cmp` order.
+    let bits = sentiment.to_bits();
+    let key = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (concept.index() as u128) << 96 | u128::from(key) << 32 | u128::from(cand)
+}
+
+fn unpack(m: Member) -> (NodeId, (f64, u32)) {
+    let key = (m >> 32) as u64;
+    let bits = if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    };
+    (
+        NodeId::from_index((m >> 96) as usize),
+        (f64::from_bits(bits), m as u32),
+    )
+}
+
+/// The members of every candidate from `first_cand` on, in bucket order:
+/// one candidate per pair with `groups == None` (the k-Pairs identity
+/// grouping, without materializing it).
+fn members_from(pairs: &[Pair], groups: Option<&[Vec<usize>]>, first_cand: usize) -> Vec<Member> {
+    let mut out = Vec::new();
+    let mut push = |u: usize, p: Pair| {
+        // Matches the target-side assert in `resolve_pair`: a literal
+        // `Pair` with NaN (bypassing `Pair::new`) must fail loudly
+        // rather than land unwindowable in a sorted bucket.
+        assert!(
+            !p.sentiment.is_nan(),
+            "NaN sentiments must be sanitized by Pair::new before building"
+        );
+        out.push(pack(p.concept, p.sentiment, u as u32));
+    };
+    match groups {
+        None => {
+            for (u, p) in pairs.iter().enumerate().skip(first_cand) {
+                push(u, *p);
+            }
+        }
+        Some(gs) => {
+            for (u, members) in gs.iter().enumerate().skip(first_cand) {
+                for &pi in members {
+                    push(u, pairs[pi]);
+                }
+            }
+        }
+    }
+    out.sort_unstable();
+    out
 }
 
 impl GraphBuildPlan {
@@ -217,54 +314,25 @@ impl GraphBuildPlan {
         ancestor_impl: AncestorImpl,
     ) -> Self {
         assert!(eps >= 0.0, "sentiment threshold must be non-negative");
-        let n_nodes = h.node_count();
-        let n_cands = groups.map_or(pairs.len(), <[Vec<usize>]>::len);
-
-        // Counting pass, then placement into the CSR arena.
-        let mut bucket_off = vec![0u32; n_nodes + 1];
-        let each_member = |f: &mut dyn FnMut(u32, Pair)| match groups {
-            None => {
-                for (u, p) in pairs.iter().enumerate() {
-                    f(u as u32, *p);
-                }
+        let members = members_from(pairs, groups, 0);
+        let mut concepts = Vec::new();
+        let mut bucket_off = Vec::new();
+        let mut bucket_entries = Vec::with_capacity(members.len());
+        for &m in &members {
+            let (c, entry) = unpack(m);
+            if concepts.last() != Some(&c) {
+                concepts.push(c);
+                bucket_off.push(bucket_entries.len() as u32);
             }
-            Some(gs) => {
-                for (u, members) in gs.iter().enumerate() {
-                    for &pi in members {
-                        f(u as u32, pairs[pi]);
-                    }
-                }
-            }
-        };
-        each_member(&mut |_, p| {
-            // Matches the target-side assert in `shard`: a literal
-            // `Pair` with NaN (bypassing `Pair::new`) must fail loudly
-            // rather than land unwindowable in a sorted bucket.
-            assert!(
-                !p.sentiment.is_nan(),
-                "NaN sentiments must be sanitized by Pair::new before building"
-            );
-            bucket_off[p.concept.index() + 1] += 1;
-        });
-        for i in 0..n_nodes {
-            bucket_off[i + 1] += bucket_off[i];
+            bucket_entries.push(entry);
         }
-        let mut cursor = bucket_off.clone();
-        let mut bucket_entries = vec![(0.0, 0u32); bucket_off[n_nodes] as usize];
-        each_member(&mut |u, p| {
-            let at = &mut cursor[p.concept.index()];
-            bucket_entries[*at as usize] = (p.sentiment, u);
-            *at += 1;
-        });
-        for c in 0..n_nodes {
-            bucket_entries[bucket_off[c] as usize..bucket_off[c + 1] as usize]
-                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        }
+        bucket_off.push(u32::try_from(bucket_entries.len()).expect("bucket entries fit u32"));
 
         GraphBuildPlan {
             eps,
             root: h.root(),
-            n_cands,
+            n_cands: groups.map_or(pairs.len(), <[Vec<usize>]>::len),
+            concepts,
             bucket_off,
             bucket_entries,
             root_dist: pairs.iter().map(|p| h.depth(p.concept)).collect(),
@@ -290,20 +358,38 @@ impl GraphBuildPlan {
         self.root_dist.len()
     }
 
-    /// The ε-window of bucket `anc` around target sentiment `s_q`, as a
+    /// Number of concept buckets: the distinct member concepts, however
+    /// large the hierarchy.
+    pub fn bucket_count(&self) -> usize {
+        self.concepts.len()
+    }
+
+    /// The bucket of concept `n` under a scratch bound to this plan.
+    #[inline]
+    fn bucket_of(&self, scratch: &GraphBuildScratch, n: NodeId) -> Option<usize> {
+        let b = scratch.slot[n.index()] as usize;
+        (self.concepts.get(b) == Some(&n)).then_some(b)
+    }
+
+    /// Bucket `b`'s entries, as a range into `bucket_entries`.
+    #[inline]
+    fn bucket(&self, b: usize) -> Range<usize> {
+        self.bucket_off[b] as usize..self.bucket_off[b + 1] as usize
+    }
+
+    /// The ε-window of bucket `b` around target sentiment `s_q`, as a
     /// range into `bucket_entries`. Exactly the candidates the naive
     /// `(s - s_q).abs() <= eps` test accepts: each one-sided rounded
     /// difference is weakly monotone along the sorted bucket, and
     /// `fl(s_q − s) = −fl(s − s_q)` exactly, so the two partition points
     /// split the bucket on the very same predicate.
     #[inline]
-    fn window(&self, anc: NodeId, s_q: f64) -> (usize, usize) {
-        let lo0 = self.bucket_off[anc.index()] as usize;
-        let hi0 = self.bucket_off[anc.index() + 1] as usize;
-        let b = &self.bucket_entries[lo0..hi0];
-        let lo = b.partition_point(|&(s, _)| s_q - s > self.eps);
-        let hi = lo + b[lo..].partition_point(|&(s, _)| s - s_q <= self.eps);
-        (lo0 + lo, lo0 + hi)
+    fn window(&self, b: usize, s_q: f64) -> Range<usize> {
+        let Range { start, end } = self.bucket(b);
+        let entries = &self.bucket_entries[start..end];
+        let lo = entries.partition_point(|&(s, _)| s_q - s > self.eps);
+        let hi = lo + entries[lo..].partition_point(|&(s, _)| s - s_q <= self.eps);
+        start + lo..start + hi
     }
 
     /// Pass 2 over the contiguous target range `range`: resolve each
@@ -323,13 +409,14 @@ impl GraphBuildPlan {
     ) -> GraphShard {
         let src = self.ancestor_source(h);
         scratch.reserve(self.n_cands);
+        scratch.bind(self, h.node_count());
         let mut pair_off = Vec::with_capacity(range.len() + 1);
         pair_off.push(0u32);
         let mut edges: Vec<(u32, u32)> = Vec::new();
         let mut window_hits = 0u64;
         let start = range.start;
         for qi in range {
-            self.resolve_pair(&src, pairs[qi], scratch, &mut edges, &mut window_hits);
+            self.resolve_pair(src, pairs[qi], scratch, &mut edges, &mut window_hits);
             pair_off.push(u32::try_from(edges.len()).expect("shard edge count exceeds u32"));
         }
         GraphShard {
@@ -342,10 +429,11 @@ impl GraphBuildPlan {
 
     /// Resolve one target pair's covering candidates into `edges` —
     /// the shared body of [`shard`](Self::shard) and
-    /// [`shard_append`](Self::shard_append).
+    /// [`shard_append`](Self::shard_append). `scratch` must be bound to
+    /// this plan.
     fn resolve_pair(
         &self,
-        src: &AncestorSource<'_>,
+        src: AncestorSource<'_>,
         q: Pair,
         scratch: &mut GraphBuildScratch,
         edges: &mut Vec<(u32, u32)>,
@@ -360,28 +448,25 @@ impl GraphBuildPlan {
             "NaN sentiments must be sanitized by Pair::new before building"
         );
         let epoch = scratch.next_epoch();
-        match src {
-            AncestorSource::Dense(index) => {
-                for &(anc, dist) in index.ancestors(q.concept) {
-                    self.offer_bucket(anc, dist, q.sentiment, scratch, epoch, window_hits);
-                }
-            }
-            AncestorSource::Segmented(index) => {
-                // Walk into an owned buffer so the bucket offers below can
-                // borrow the scratch mutably again.
-                let mut anc_buf = std::mem::take(&mut scratch.anc_buf);
-                index.ancestors_with_dist_into(q.concept, &mut scratch.seg, &mut anc_buf);
-                for &(anc, dist) in &anc_buf {
-                    self.offer_bucket(anc, dist, q.sentiment, scratch, epoch, window_hits);
-                }
-                scratch.anc_buf = anc_buf;
+        for &(anc, dist) in src.ancestors(q.concept) {
+            let Some(b) = self.bucket_of(scratch, anc) else {
+                continue;
+            };
+            // A candidate on the root covers every pair with no
+            // sentiment condition (Definition 1), so the root bucket
+            // is taken whole.
+            let range = if anc == self.root {
+                self.bucket(b)
+            } else {
+                self.window(b, q.sentiment)
+            };
+            *window_hits += range.len() as u64;
+            for &(_, u) in &self.bucket_entries[range] {
+                scratch.offer(u, dist, epoch);
             }
         }
         // Ascending candidate order makes the shard (and therefore
-        // the assembled graph) independent of closure walk order — this
-        // sort is also why the two ancestor implementations, which
-        // enumerate the same set in different orders, produce
-        // byte-identical shards.
+        // the assembled graph) independent of closure walk order.
         scratch.touched.sort_unstable();
         edges.extend(
             scratch
@@ -389,35 +474,6 @@ impl GraphBuildPlan {
                 .iter()
                 .map(|&u| (u, scratch.dist[u as usize])),
         );
-    }
-
-    /// Offer one ancestor's ε-window (or whole root bucket) to the
-    /// current pair's candidates.
-    #[inline]
-    fn offer_bucket(
-        &self,
-        anc: NodeId,
-        dist: u32,
-        s_q: f64,
-        scratch: &mut GraphBuildScratch,
-        epoch: u32,
-        window_hits: &mut u64,
-    ) {
-        // A candidate on the root covers every pair with no
-        // sentiment condition (Definition 1), so the root bucket
-        // is taken whole.
-        let (lo, hi) = if anc == self.root {
-            (
-                self.bucket_off[anc.index()] as usize,
-                self.bucket_off[anc.index() + 1] as usize,
-            )
-        } else {
-            self.window(anc, s_q)
-        };
-        *window_hits += (hi - lo) as u64;
-        for &(_, u) in &self.bucket_entries[lo..hi] {
-            scratch.offer(u, dist, epoch);
-        }
     }
 
     /// Build the successor plan after an **append**: `self` was built
@@ -437,7 +493,6 @@ impl GraphBuildPlan {
         pairs: &[Pair],
         groups: Option<&[Vec<usize>]>,
     ) -> (GraphBuildPlan, PlanDelta) {
-        let n_nodes = h.node_count();
         let prev_pairs = self.root_dist.len();
         let prev_cands = self.n_cands;
         let n_cands = groups.map_or(pairs.len(), <[Vec<usize>]>::len);
@@ -445,84 +500,65 @@ impl GraphBuildPlan {
         assert!(n_cands >= prev_cands, "append must extend the candidates");
 
         // Bucket only the new members (new candidates' member pairs).
-        let mut fresh: Vec<(u32, (f64, u32))> = Vec::new();
-        let each_new = |f: &mut dyn FnMut(u32, Pair)| match groups {
-            None => {
-                for (u, p) in pairs.iter().enumerate().skip(prev_cands) {
-                    f(u as u32, *p);
-                }
-            }
-            Some(gs) => {
-                for (u, members) in gs.iter().enumerate().skip(prev_cands) {
-                    for &pi in members {
-                        f(u as u32, pairs[pi]);
-                    }
-                }
-            }
-        };
-        each_new(&mut |u, p| {
-            assert!(
-                !p.sentiment.is_nan(),
-                "NaN sentiments must be sanitized by Pair::new before building"
-            );
-            fresh.push((p.concept.index() as u32, (p.sentiment, u)));
-        });
-        // Group new entries per bucket, sorted the way `new` sorts: the
-        // comparator totally orders entries (ties are identical tuples),
-        // so merging two sorted runs reproduces the full sort exactly.
-        fresh.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then(a.1 .0.total_cmp(&b.1 .0))
-                .then(a.1 .1.cmp(&b.1 .1))
-        });
-        let mut delta_count = vec![0u32; n_nodes];
-        for &(node, _) in &fresh {
-            delta_count[node as usize] += 1;
-        }
+        let fresh = members_from(pairs, groups, prev_cands);
 
-        let mut bucket_off = vec![0u32; n_nodes + 1];
-        for i in 0..n_nodes {
-            let old = self.bucket_off[i + 1] - self.bucket_off[i];
-            bucket_off[i + 1] = bucket_off[i] + old + delta_count[i];
-        }
-        let mut bucket_entries = Vec::with_capacity(bucket_off[n_nodes] as usize);
-        let mut fresh_at = 0usize;
-        let mut changed_nodes = Vec::new();
-        for (c, &count) in delta_count.iter().enumerate().take(n_nodes) {
-            let old =
-                &self.bucket_entries[self.bucket_off[c] as usize..self.bucket_off[c + 1] as usize];
-            let added = count as usize;
-            if added == 0 {
-                bucket_entries.extend_from_slice(old);
-                continue;
+        // Merge the old buckets with the fresh runs; both ascend by
+        // concept.
+        let mut concepts = Vec::with_capacity(self.concepts.len());
+        let mut bucket_off = Vec::with_capacity(self.bucket_off.len());
+        let mut bucket_entries = Vec::with_capacity(self.bucket_entries.len() + fresh.len());
+        let mut changed_buckets = Vec::new();
+        let (mut old_b, mut at) = (0, 0);
+        while old_b < self.concepts.len() || at < fresh.len() {
+            let next_old = self.concepts.get(old_b).copied();
+            let next_new = fresh.get(at).map(|&m| unpack(m).0);
+            let c = next_old
+                .into_iter()
+                .chain(next_new)
+                .min()
+                .expect("one side left");
+            let old = if next_old == Some(c) {
+                old_b += 1;
+                &self.bucket_entries[self.bucket(old_b - 1)]
+            } else {
+                &[][..]
+            };
+            let run = fresh[at..]
+                .iter()
+                .take_while(|&&m| unpack(m).0 == c)
+                .count();
+            let new = &fresh[at..at + run];
+            at += run;
+            if !new.is_empty() {
+                changed_buckets.push(concepts.len() as u32);
             }
-            changed_nodes.push(c as u32);
-            let new = &fresh[fresh_at..fresh_at + added];
-            fresh_at += added;
+            concepts.push(c);
+            bucket_off.push(bucket_entries.len() as u32);
             // Two-run merge under the bucket comparator.
             let (mut i, mut j) = (0, 0);
             while i < old.len() && j < new.len() {
-                let a = old[i];
-                let b = new[j].1;
-                if a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_le() {
-                    bucket_entries.push(a);
+                let (s, u) = old[i];
+                if pack(c, s, u) <= new[j] {
+                    bucket_entries.push(old[i]);
                     i += 1;
                 } else {
-                    bucket_entries.push(b);
+                    bucket_entries.push(unpack(new[j]).1);
                     j += 1;
                 }
             }
             bucket_entries.extend_from_slice(&old[i..]);
-            bucket_entries.extend(new[j..].iter().map(|&(_, e)| e));
+            bucket_entries.extend(new[j..].iter().map(|&m| unpack(m).1));
         }
+        bucket_off.push(u32::try_from(bucket_entries.len()).expect("bucket entries fit u32"));
 
         let mut root_dist = self.root_dist.clone();
         root_dist.extend(pairs[prev_pairs..].iter().map(|p| h.depth(p.concept)));
-        let root_changed = delta_count[self.root.index()] > 0;
+        let root_changed = fresh.iter().any(|&m| unpack(m).0 == self.root);
         let next = GraphBuildPlan {
             eps: self.eps,
             root: self.root,
             n_cands,
+            concepts,
             bucket_off,
             bucket_entries,
             root_dist,
@@ -534,7 +570,7 @@ impl GraphBuildPlan {
             PlanDelta {
                 prev_pairs,
                 prev_cands,
-                changed_nodes,
+                changed_buckets,
                 root_changed,
             },
         )
@@ -563,9 +599,10 @@ impl GraphBuildPlan {
         assert_eq!(prev.len(), delta.prev_pairs, "prev covers the old pairs");
         let src = self.ancestor_source(h);
         scratch.reserve(self.n_cands);
-        let mut changed = vec![false; h.node_count()];
-        for &c in &delta.changed_nodes {
-            changed[c as usize] = true;
+        scratch.bind(self, h.node_count());
+        let mut changed = vec![false; self.concepts.len()];
+        for &b in &delta.changed_buckets {
+            changed[b as usize] = true;
         }
         let mut pair_off = Vec::with_capacity(pairs.len() + 1);
         pair_off.push(0u32);
@@ -575,26 +612,17 @@ impl GraphBuildPlan {
         for (qi, &q) in pairs.iter().enumerate() {
             let reusable = qi < delta.prev_pairs
                 && !delta.root_changed
-                && match &src {
-                    AncestorSource::Dense(index) => index
-                        .ancestors(q.concept)
-                        .iter()
-                        .all(|&(anc, _)| !changed[anc.index()]),
-                    AncestorSource::Segmented(index) => {
-                        let mut anc_buf = std::mem::take(&mut scratch.anc_buf);
-                        index.ancestors_with_dist_into(q.concept, &mut scratch.seg, &mut anc_buf);
-                        let clean = anc_buf.iter().all(|&(anc, _)| !changed[anc.index()]);
-                        scratch.anc_buf = anc_buf;
-                        clean
-                    }
-                };
+                && src
+                    .ancestors(q.concept)
+                    .iter()
+                    .all(|&(anc, _)| self.bucket_of(scratch, anc).is_none_or(|b| !changed[b]));
             if reusable {
                 edges.extend_from_slice(prev.row(qi));
             } else {
                 if qi < delta.prev_pairs {
                     recomputed.push(qi as u32);
                 }
-                self.resolve_pair(&src, q, scratch, &mut edges, &mut window_hits);
+                self.resolve_pair(src, q, scratch, &mut edges, &mut window_hits);
             }
             pair_off.push(u32::try_from(edges.len()).expect("shard edge count exceeds u32"));
         }
@@ -669,8 +697,8 @@ pub struct PlanDelta {
     prev_pairs: usize,
     /// Candidates of the predecessor plan.
     prev_cands: usize,
-    /// Concept node indices whose bucket gained entries, ascending.
-    changed_nodes: Vec<u32>,
+    /// Successor-plan buckets that gained entries, ascending.
+    changed_buckets: Vec<u32>,
     /// Did the root bucket grow? Root candidates cover *every* pair, so
     /// this forces every row to re-resolve.
     root_changed: bool,
@@ -689,7 +717,7 @@ impl PlanDelta {
 
     /// Number of concept buckets that gained entries.
     pub fn changed_buckets(&self) -> usize {
-        self.changed_nodes.len()
+        self.changed_buckets.len()
     }
 }
 
@@ -1400,6 +1428,7 @@ mod tests {
             CoverageGraph::assemble(&plan1, granularity, None, std::slice::from_ref(&shard1));
 
         let fresh_plan = GraphBuildPlan::new(h, pairs, groups, eps);
+        assert_eq!(plan1.bucket_count(), fresh_plan.bucket_count());
         let fresh_shard = fresh_plan.shard(h, pairs, 0..pairs.len(), &mut scratch);
         let fresh = CoverageGraph::assemble(&fresh_plan, granularity, None, &[fresh_shard]);
         assert_eq!(incremental, fresh, "eps={eps} {granularity:?}");
@@ -1599,6 +1628,37 @@ mod tests {
         }
         assert_eq!(GraphImpl::from_name("fast"), None);
         assert_eq!(GraphImpl::default(), GraphImpl::Indexed);
+    }
+
+    #[test]
+    fn packed_members_order_like_total_cmp_and_round_trip() {
+        let vals = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            0.5,
+            f64::INFINITY,
+        ];
+        let c = NodeId::from_index(7);
+        for &a in &vals {
+            let (n, (s, u)) = unpack(pack(c, a, 3));
+            assert_eq!((n, s.to_bits(), u), (c, a.to_bits(), 3), "{a}");
+            for &b in &vals {
+                assert_eq!(
+                    pack(c, a, 1).cmp(&pack(c, b, 1)),
+                    a.total_cmp(&b),
+                    "{a} {b}"
+                );
+            }
+        }
+        // Concept first, candidate last.
+        let lo = NodeId::from_index(1);
+        let hi = NodeId::from_index(2);
+        assert!(pack(lo, f64::INFINITY, u32::MAX) < pack(hi, f64::NEG_INFINITY, 0));
+        assert!(pack(lo, 0.5, 1) < pack(lo, 0.5, 2));
     }
 
     #[test]

@@ -126,9 +126,13 @@ impl Summarizer for IlpSummarizer {
         };
         let _span = osa_obs::global().span("ilp.branch_bound");
         let _tspan = trace.map(|t| t.span("ilp.branch_bound"));
+        // The coverage ILP is bounded and well-formed, so the one error
+        // left is a model too large for the dense tableau. `Summarizer`
+        // has no error channel: panic with the typed message, which the
+        // batch runtime records as an item failure and serve as a 500.
         let sol = model
             .solve_ilp_traced(&opts, trace)
-            .expect("coverage ILP is bounded and well-formed");
+            .unwrap_or_else(|e| panic!("coverage ILP: {e}"));
         match sol.status {
             Status::Optimal => {
                 let mut selected: Vec<usize> = xs

@@ -105,9 +105,11 @@ impl Summarizer for RandomizedRounding {
         let (model, xs, _) = build_model(graph, k, false);
         // Auto picks the dual simplex here (non-negative distances), the
         // same method the paper selected in Gurobi for this LP class.
+        // As in `IlpSummarizer`: a too-large model is the only error left,
+        // surfaced as a catchable panic carrying the typed message.
         let sol = model
             .solve_lp_with(osa_solver::LpMethod::Auto)
-            .expect("coverage LP is bounded and well-formed");
+            .unwrap_or_else(|e| panic!("coverage LP: {e}"));
         let weights: Vec<f64> = xs.iter().map(|&x| sol.value(x).max(0.0)).collect();
         let obs = osa_obs::global();
         obs.add("rr.lp_solves", 1);

@@ -224,7 +224,9 @@ impl Hierarchy {
     /// The compressed segment index of this hierarchy, built on first use
     /// and cached for the hierarchy's lifetime (thread-safe). The
     /// memory-sublinear alternative to [`ancestor_index`]: `O(n)` state,
-    /// `O(log n)` locate per query, no closure ever materialized.
+    /// no closure ever materialized, and each queried node's row memoized
+    /// by [`SegmentIndex::ancestors`] (a cloned hierarchy starts with an
+    /// empty memo).
     ///
     /// [`ancestor_index`]: Self::ancestor_index
     pub fn segment_index(&self) -> &SegmentIndex {

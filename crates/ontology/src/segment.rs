@@ -5,18 +5,29 @@
 //! SNOMED-scale hierarchies. This module stores the DAG as *segments*:
 //! maximal runs of consecutive positions in one topological order where
 //! each node's only parent is its immediate predecessor (the segmented-DAG
-//! design from git-branchless). Real ontologies are chain-heavy, so the
-//! segment count is far below the node count; locating a node's segment is
-//! one `O(log n)` binary search and an ancestor walk touches only the
-//! ancestor cone — never a precomputed closure.
+//! design from git-branchless). Only segment heads store parent links, and
+//! locating a node's segment is one `O(log n)` binary search.
 //!
-//! [`SegmentIndex::ancestors_with_dist_into`] returns exactly the same
-//! `(ancestor, shortest distance)` set as the dense closure (proved per
-//! node by the `osars check` differential layer and the seeded tests
-//! below), just in a different enumeration order — callers that need a
-//! canonical order sort, as `osa-core` already does.
+//! The topological order is Kahn's level-order queue, which places a node
+//! right after its sole parent only when the queue held nothing else (in
+//! practice, the root's first child). So on the synthetic DAGs almost every
+//! node heads its own segment: 299,999 segments for 300k nodes, 2,999 for
+//! the 3k-node Figs. 4–5 DAG. The memory saving over the dense closure
+//! comes from not storing the closure at all, not from chain compression.
+//!
+//! [`SegmentIndex::ancestors_with_dist_into`] walks the ancestor cone and
+//! returns exactly the same `(ancestor, shortest distance)` set as the
+//! dense closure (proved per node by the `osars check` differential layer
+//! and the seeded tests below), in decreasing topological position.
+//! [`SegmentIndex::ancestors`] memoizes that walk per node: the first
+//! query of a node fills its row, sorted by ancestor id exactly like the
+//! dense closure's row, and every later query from any thread is a
+//! lock-free slice borrow. Memory grows with the nodes actually queried.
 
+use std::cell::RefCell;
 use std::collections::BinaryHeap;
+use std::fmt;
+use std::sync::OnceLock;
 
 use crate::{Hierarchy, NodeId};
 
@@ -25,8 +36,9 @@ use crate::{Hierarchy, NodeId};
 /// `Dense` materializes the transitive closure once per hierarchy
 /// ([`AncestorIndex`](crate::AncestorIndex)) — fastest per query, memory
 /// proportional to the closure, kept as the byte-identical oracle.
-/// `Segmented` walks the compressed [`SegmentIndex`] — `O(n)` memory,
-/// the only viable choice at 300k+ concepts.
+/// `Segmented` walks the compressed [`SegmentIndex`] — `O(n)` memory plus
+/// one memoized row per queried node, the only viable choice at 300k+
+/// concepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AncestorImpl {
     /// Precomputed CSR ancestor closure (the oracle).
@@ -62,7 +74,11 @@ impl AncestorImpl {
 /// parent, the node at the previous position. Within a segment the parent
 /// relation is implicit (`position - 1`), so only segment *heads* store
 /// explicit parent links. Total memory is `O(n + edges-at-heads)` —
-/// sublinear in the closure size and independent of DAG depth.
+/// sublinear in the closure size and independent of DAG depth — plus the
+/// memoized rows of the nodes queried through [`ancestors`](Self::ancestors).
+///
+/// The memo is a cache, not state: it takes no part in equality or
+/// serialization, and a clone starts with it empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentIndex {
     /// Topological position → node (parents before children).
@@ -76,6 +92,84 @@ pub struct SegmentIndex {
     par_off: Vec<u32>,
     /// Parent links of each segment's head node.
     par_entries: Vec<NodeId>,
+    /// Lazily filled ancestor rows (see [`ancestors`](Self::ancestors)).
+    memo: RowMemo,
+}
+
+/// One node's memoized ancestor row, sorted by ancestor id.
+type Row = Box<[(NodeId, u32)]>;
+
+/// The row slots of [`MEMO_CHUNK`] consecutive nodes.
+type Chunk = Box<[OnceLock<Row>; MEMO_CHUNK]>;
+
+/// Nodes per memo chunk. A fresh index pays one empty `OnceLock` (16 B)
+/// per chunk; a chunk's 256 row slots (24 B each, 6 KiB) are allocated on
+/// its first touch, so memory grows with the nodes queried.
+const MEMO_CHUNK: usize = 256;
+
+/// Per-node write-once rows behind a write-once chunk table. A hit is two
+/// atomic loads; a miss runs the walk under the slot's `OnceLock`, so
+/// concurrent first touches of one node fill it once.
+struct RowMemo {
+    chunks: Box<[OnceLock<Chunk>]>,
+}
+
+impl RowMemo {
+    fn new(nodes: usize) -> Self {
+        RowMemo {
+            chunks: (0..nodes.div_ceil(MEMO_CHUNK))
+                .map(|_| OnceLock::new())
+                .collect(),
+        }
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> &OnceLock<Row> {
+        let chunk = self.chunks[i / MEMO_CHUNK]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+        &chunk[i % MEMO_CHUNK]
+    }
+
+    /// Filled rows and their total entries.
+    fn footprint(&self) -> (usize, usize) {
+        self.chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|chunk| chunk.iter().filter_map(OnceLock::get))
+            .fold((0, 0), |(rows, entries), row| {
+                (rows + 1, entries + row.len())
+            })
+    }
+}
+
+/// A clone starts empty: rows are recomputable, and sharing them would
+/// tie the clone's memory to the original's.
+impl Clone for RowMemo {
+    fn clone(&self) -> Self {
+        RowMemo::new(self.chunks.len() * MEMO_CHUNK)
+    }
+}
+
+/// Every memo is equal: rows are a pure function of the index arrays.
+impl PartialEq for RowMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for RowMemo {}
+
+impl fmt::Debug for RowMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (rows, entries) = self.footprint();
+        write!(f, "RowMemo {{ rows: {rows}, entries: {entries} }}")
+    }
+}
+
+thread_local! {
+    /// Walk buffers for memo fills: one per thread, sized by the largest
+    /// hierarchy the thread has filled rows for.
+    static FILL: RefCell<(SegmentScratch, Vec<(NodeId, u32)>)> = RefCell::default();
 }
 
 /// Reusable buffers for [`SegmentIndex::ancestors_with_dist_into`]: a
@@ -128,6 +222,7 @@ impl SegmentIndex {
             starts,
             par_off,
             par_entries,
+            memo: RowMemo::new(n),
         }
     }
 
@@ -136,19 +231,27 @@ impl SegmentIndex {
         self.order.len()
     }
 
-    /// Number of segments (compression unit count; `<= node_count`).
+    /// Number of segments (`<= node_count`; see the module docs for why it
+    /// is close to `node_count` on level-ordered DAGs).
     pub fn segment_count(&self) -> usize {
         self.starts.len() - 1
     }
 
     /// Total stored array elements — the index's memory weight, the
-    /// segmented counterpart of the dense closure's entry count.
+    /// segmented counterpart of the dense closure's entry count. Memoized
+    /// rows are not counted; see [`memo_footprint`](Self::memo_footprint).
     pub fn entry_weight(&self) -> usize {
         self.order.len()
             + self.pos.len()
             + self.starts.len()
             + self.par_off.len()
             + self.par_entries.len()
+    }
+
+    /// `(rows, entries)` memoized so far by [`ancestors`](Self::ancestors):
+    /// one row per distinct node queried. `O(n)` to count.
+    pub fn memo_footprint(&self) -> (usize, usize) {
+        self.memo.footprint()
     }
 
     /// The raw arrays `(order, starts, par_off, par_entries)` for
@@ -203,6 +306,7 @@ impl SegmentIndex {
             starts,
             par_off,
             par_entries,
+            memo: RowMemo::new(n),
         };
         // Per-node agreement with the hierarchy: heads carry exactly the
         // node's parent list, chained nodes have exactly the predecessor.
@@ -318,6 +422,28 @@ impl SegmentIndex {
             *du = nd;
             heap.push((pos[u.index()], u.0));
         }
+    }
+
+    /// All ancestors of `n` (including `n` at distance 0) with exact
+    /// shortest distances, sorted by ancestor id — the same slice
+    /// [`AncestorIndex::ancestors`](crate::AncestorIndex::ancestors)
+    /// returns. The first query of `n` fills its row with
+    /// [`ancestors_with_dist_into`](Self::ancestors_with_dist_into) on a
+    /// per-thread scratch; later queries from any thread borrow it
+    /// without locking.
+    #[inline]
+    pub fn ancestors(&self, n: NodeId) -> &[(NodeId, u32)] {
+        self.memo.slot(n.index()).get_or_init(|| self.fill_row(n))
+    }
+
+    #[cold]
+    fn fill_row(&self, n: NodeId) -> Row {
+        FILL.with(|cell| {
+            let (scratch, buf) = &mut *cell.borrow_mut();
+            self.ancestors_with_dist_into(n, scratch, buf);
+            buf.sort_unstable_by_key(|&(a, _)| a);
+            buf.as_slice().into()
+        })
     }
 
     /// Allocating convenience wrapper over
@@ -459,11 +585,8 @@ mod tests {
         assert_matches_oracles(&h);
     }
 
-    #[test]
-    fn seeded_multi_parent_dag_matches_dense_closure_everywhere() {
-        // 10k-node DAG, ~30% of nodes with a second parent, checked
-        // against both oracles for every single node.
-        let n = 10_000u32;
+    /// Seeded `n`-node DAG, ~30% of nodes with a second parent.
+    fn seeded_dag(n: u32) -> Hierarchy {
         let mut b = HierarchyBuilder::new();
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move |m: u64| {
@@ -485,7 +608,13 @@ mod tests {
             }
             ids.push(id);
         }
-        let h = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn seeded_multi_parent_dag_matches_dense_closure_everywhere() {
+        // 10k-node DAG checked against both oracles for every single node.
+        let h = seeded_dag(10_000);
         let idx = h.segment_index();
         assert!(idx.segment_count() < h.node_count(), "chains must compress");
         let dense = h.ancestor_index();
@@ -499,6 +628,102 @@ mod tests {
                 sorted(dense.ancestors(node).to_vec()),
                 "divergence at {node:?}"
             );
+        }
+    }
+
+    #[test]
+    fn memoized_rows_equal_dense_rows_exactly() {
+        // Same order, same distances: the memo row is the dense row.
+        let h = seeded_dag(10_000);
+        let idx = h.segment_index();
+        let dense = h.ancestor_index();
+        assert_eq!(idx.memo_footprint(), (0, 0), "the memo starts empty");
+        for node in h.nodes() {
+            assert_eq!(idx.ancestors(node), dense.ancestors(node), "{node:?}");
+        }
+        // A second pass hits the memo and must not refill it.
+        let filled = idx.memo_footprint();
+        assert_eq!(filled, (h.node_count(), dense.entry_count()));
+        for node in h.nodes() {
+            assert_eq!(idx.ancestors(node), dense.ancestors(node), "{node:?}");
+        }
+        assert_eq!(idx.memo_footprint(), filled);
+    }
+
+    #[test]
+    fn concurrent_fills_in_shuffled_orders_agree_with_dense() {
+        let h = seeded_dag(10_000);
+        let idx = SegmentIndex::build(&h);
+        let dense = h.ancestor_index();
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (idx, h) = (&idx, &h);
+                s.spawn(move || {
+                    // Per-thread Fisher–Yates order, so threads race on
+                    // different first touches of the same rows.
+                    let mut order: Vec<NodeId> = h.nodes().collect();
+                    let mut state = 0x2545_f491_4f6c_dd1du64 ^ t;
+                    for i in (1..order.len()).rev() {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        order.swap(i, (state % (i as u64 + 1)) as usize);
+                    }
+                    for n in order {
+                        assert_eq!(idx.ancestors(n), dense.ancestors(n), "{n:?}");
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            idx.memo_footprint(),
+            (h.node_count(), dense.entry_count()),
+            "each row is filled exactly once"
+        );
+    }
+
+    #[test]
+    fn clones_and_primed_indexes_start_with_an_empty_memo() {
+        let h = seeded_dag(10_000);
+        let dense = h.ancestor_index();
+        let probe: Vec<NodeId> = h.nodes().step_by(7).collect();
+        for &n in &probe {
+            h.segment_index().ancestors(n);
+        }
+        assert_eq!(h.segment_index().memo_footprint().0, probe.len());
+
+        // A cloned hierarchy clones the index but not its memo.
+        let cloned = h.clone();
+        assert_eq!(cloned.segment_index(), h.segment_index());
+        assert_eq!(cloned.segment_index().memo_footprint(), (0, 0));
+
+        // An artifact boot: the hierarchy replayed from its edge list and
+        // the index primed from its serialized parts.
+        let mut b = HierarchyBuilder::new();
+        for n in h.nodes() {
+            b.add_node(h.name(n));
+        }
+        for &(p, c) in h.edge_list() {
+            b.add_edge(p, c).unwrap();
+        }
+        let booted = b.build().unwrap();
+        let (order, starts, par_off, par_entries) = h.segment_index().parts();
+        let primed = SegmentIndex::from_parts(
+            &booted,
+            order.to_vec(),
+            starts.to_vec(),
+            par_off.to_vec(),
+            par_entries.to_vec(),
+        )
+        .unwrap();
+        booted.prime_segment_index(primed);
+        assert_eq!(booted.segment_index().memo_footprint(), (0, 0));
+
+        for n in h.nodes() {
+            let want = dense.ancestors(n);
+            assert_eq!(h.segment_index().ancestors(n), want, "{n:?}");
+            assert_eq!(cloned.segment_index().ancestors(n), want, "{n:?}");
+            assert_eq!(booted.segment_index().ancestors(n), want, "{n:?}");
         }
     }
 

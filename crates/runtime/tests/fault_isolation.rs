@@ -164,3 +164,45 @@ fn fault_free_plan_changes_nothing() {
     assert!(planned.failed.is_empty());
     assert_eq!(planned.retried, 0);
 }
+
+#[test]
+fn an_item_too_large_for_the_exact_solvers_fails_alone() {
+    use osa_core::{CoverageGraph, IlpSummarizer, Pair, RandomizedRounding, Summarizer};
+    use osa_ontology::HierarchyBuilder;
+    use osa_runtime::BatchJob;
+
+    // A star: pair i sits on leaf i, so each pair covers only itself.
+    // 3000 pairs make a coverage ILP of ~9k rows by ~18k columns, over
+    // the solver's dense-tableau cap; 5 pairs are solved normally.
+    let mut b = HierarchyBuilder::new();
+    let root = b.add_node("root");
+    let leaves: Vec<_> = (0..3000)
+        .map(|i| {
+            let leaf = b.add_node(&format!("leaf{i}"));
+            b.add_edge(root, leaf).unwrap();
+            leaf
+        })
+        .collect();
+    let h = b.build().unwrap();
+    let sizes = [5, 3000, 5];
+    for solver in [
+        &IlpSummarizer as &(dyn Summarizer + Sync),
+        &RandomizedRounding::with_seed(7),
+    ] {
+        let report = BatchJob::new(&sizes).jobs(2).run(|_, _, &n| {
+            let pairs: Vec<Pair> = leaves[..n].iter().map(|&c| Pair::new(c, 0.5)).collect();
+            let graph = CoverageGraph::for_pairs(&h, &pairs, 0.5);
+            solver.summarize(&graph, 2).selected.len()
+        });
+        assert_eq!(report.results, vec![2, 2], "{}", solver.name());
+        assert_eq!(report.failed.len(), 1, "{}", solver.name());
+        let failure = &report.failed[0];
+        assert_eq!(failure.item, 1);
+        assert!(
+            failure.message.contains("model too large"),
+            "{}: {}",
+            solver.name(),
+            failure.message
+        );
+    }
+}

@@ -83,6 +83,7 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, SolverError> {
     let m = rows.len();
     let n = nv + m; // one slack per row
     let w = n + 1;
+    SolverError::check_tableau(m, w)?;
     let mut a = vec![0.0f64; m * w];
     let mut basis = vec![0usize; m];
     for (i, (terms, rhs)) in rows.iter().enumerate() {

@@ -14,7 +14,9 @@
 //! The solver is deterministic, exact up to floating tolerance, and sized
 //! for the per-item instances the summarization benchmarks produce
 //! (hundreds of variables and constraints). It is a teaching-grade dense
-//! implementation: do not point it at million-variable models.
+//! implementation: a model whose tableau would exceed
+//! [`MAX_TABLEAU_CELLS`] is refused with [`SolverError::ModelTooLarge`]
+//! instead of being allocated.
 //!
 //! ## Example
 //!
@@ -40,5 +42,5 @@ mod presolve;
 mod simplex;
 
 pub use branch_bound::IlpOptions;
-pub use error::SolverError;
+pub use error::{SolverError, MAX_TABLEAU_CELLS};
 pub use model::{Cmp, LpMethod, Model, Solution, Status, VarId};

@@ -211,11 +211,14 @@ impl Model {
             LpMethod::Primal => simplex::solve(&reduced),
             LpMethod::Dual => dual::solve(&reduced),
             LpMethod::Auto => match dual::solve(&reduced) {
-                // Not dual-applicable, or the (rarely) cycling-prone
-                // dual ran out of iterations: use the primal.
-                Err(SolverError::DualUnsupported | SolverError::IterationLimit) => {
-                    simplex::solve(&reduced)
-                }
+                // Not dual-applicable, the (rarely) cycling-prone dual
+                // ran out of iterations, or its tableau (with equality
+                // rows doubled) is over the cap: use the primal.
+                Err(
+                    SolverError::DualUnsupported
+                    | SolverError::IterationLimit
+                    | SolverError::ModelTooLarge { .. },
+                ) => simplex::solve(&reduced),
                 other => other,
             },
         }

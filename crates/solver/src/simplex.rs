@@ -256,6 +256,7 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, SolverError> {
         .count();
     let n = nv + n_slack + n_art;
     let w = n + 1;
+    SolverError::check_tableau(m, w)?;
 
     let mut allowed = vec![true; n];
     for (j, &f) in fixed.iter().enumerate() {

@@ -1109,10 +1109,13 @@ fn cmd_bench_incremental(flags: &HashMap<String, String>) -> Result<(), String> 
 /// index. Phase 1 builds a synthetic multi-parent DAG (300k concepts by
 /// default) and times the dense closure oracle against the compressed
 /// segment index — build cost, resident entries, and query throughput
-/// over a clustered pair sample. Phase 2 measures daemon cold-start on
-/// a real corpus: extraction boot vs artifact boot (compile once
-/// untimed, then one sequential read), asserting the rendered summaries
-/// stay byte-identical. Writes the JSON report to `--out`.
+/// over a clustered pair sample: the raw segment walk, the memo's
+/// first-touch fills, and the warm memoized queries the graph build
+/// makes (`query_ratio` = memoized / dense). Phase 2 measures daemon
+/// cold-start on a real corpus: extraction boot vs artifact boot
+/// (compile once untimed, then one sequential read), asserting the
+/// rendered summaries stay byte-identical. Writes the JSON report to
+/// `--out`.
 fn cmd_bench_ontology(flags: &HashMap<String, String>) -> Result<(), String> {
     use osars::datasets::{sample_pairs, synthetic_ontology, SyntheticOntologyConfig};
     use osars::eval::Stopwatch;
@@ -1147,16 +1150,15 @@ fn cmd_bench_ontology(flags: &HashMap<String, String>) -> Result<(), String> {
     // compared so a silent twin divergence fails the bench.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xB_E4C4);
     let pairs = sample_pairs(&h, n_pairs, 64, &mut rng);
-    let (dense_visits, dense_query_us) = Stopwatch::time(|| {
-        let mut visits = 0usize;
-        for p in &pairs {
-            visits += dense.ancestors(p.concept).len();
-        }
-        visits
-    });
+    // The segment walk (the memo's fill routine and oracle) on every
+    // query, then the memoized rows the graph build reads: one first-touch
+    // fill per distinct concept, then every query again on the warm memo,
+    // timed in alternation with the dense closure and reported as the
+    // median of `QUERY_ROUNDS` rounds each.
+    const QUERY_ROUNDS: usize = 5;
     let mut seg_scratch = SegmentScratch::new();
     let mut buf: Vec<(NodeId, u32)> = Vec::new();
-    let (seg_visits, segmented_query_us) = Stopwatch::time(|| {
+    let (walk_visits, segmented_walk_us) = Stopwatch::time(|| {
         let mut visits = 0usize;
         for p in &pairs {
             seg.ancestors_with_dist_into(p.concept, &mut seg_scratch, &mut buf);
@@ -1164,16 +1166,55 @@ fn cmd_bench_ontology(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         visits
     });
-    if dense_visits != seg_visits {
-        return Err(format!(
-            "twin oracles disagree on total ancestor visits: dense {dense_visits} vs segmented {seg_visits}"
-        ));
+    let mut seen = vec![false; h.node_count()];
+    let distinct: Vec<NodeId> = pairs
+        .iter()
+        .map(|p| p.concept)
+        .filter(|c| !std::mem::replace(&mut seen[c.index()], true))
+        .collect();
+    let ((), segmented_fill_us) = Stopwatch::time(|| {
+        for &c in &distinct {
+            std::hint::black_box(seg.ancestors(c));
+        }
+    });
+    let (mut dense_rounds, mut seg_rounds) = (Vec::new(), Vec::new());
+    for _ in 0..QUERY_ROUNDS {
+        let (dense_visits, us) = Stopwatch::time(|| {
+            pairs
+                .iter()
+                .map(|p| dense.ancestors(p.concept).len())
+                .sum::<usize>()
+        });
+        dense_rounds.push(us);
+        let (seg_visits, us) = Stopwatch::time(|| {
+            pairs
+                .iter()
+                .map(|p| seg.ancestors(p.concept).len())
+                .sum::<usize>()
+        });
+        seg_rounds.push(us);
+        if dense_visits != walk_visits || dense_visits != seg_visits {
+            return Err(format!(
+                "twin oracles disagree on total ancestor visits: dense {dense_visits}, \
+                 segment walk {walk_visits}, memoized {seg_visits}"
+            ));
+        }
     }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (dense_query_us, segmented_query_us) = (median(dense_rounds), median(seg_rounds));
+    let (memo_rows, memo_entries) = seg.memo_footprint();
+    let query_ratio = segmented_query_us / dense_query_us.max(1e-9);
     eprintln!(
-        "index build: dense {dense_build_us:.0}µs ({} entries) vs segmented {segmented_build_us:.0}µs ({} entries); \
-         {} queries: dense {dense_query_us:.0}µs vs segmented {segmented_query_us:.0}µs",
+        "index build: dense {dense_build_us:.0}µs ({} entries) vs segmented {segmented_build_us:.0}µs \
+         ({} entries, {} segments); {} queries: dense {dense_query_us:.0}µs, segment walk \
+         {segmented_walk_us:.0}µs, memoized {segmented_query_us:.0}µs ({query_ratio:.2}× dense) \
+         after filling {memo_rows} rows ({memo_entries} entries) in {segmented_fill_us:.0}µs",
         dense.entry_count(),
         seg.entry_weight(),
+        seg.segment_count(),
         pairs.len(),
     );
 
@@ -1276,12 +1317,18 @@ fn cmd_bench_ontology(flags: &HashMap<String, String>) -> Result<(), String> {
         ),
         ("dense_entries".into(), Value::from(dense.entry_count())),
         ("segmented_entries".into(), Value::from(seg.entry_weight())),
+        ("segments".into(), Value::from(seg.segment_count())),
         ("dense_query_us".into(), Value::Number(dense_query_us)),
+        ("segmented_walk_us".into(), Value::Number(segmented_walk_us)),
+        ("segmented_fill_us".into(), Value::Number(segmented_fill_us)),
         (
             "segmented_query_us".into(),
             Value::Number(segmented_query_us),
         ),
-        ("query_visits".into(), Value::from(dense_visits)),
+        ("query_ratio".into(), Value::Number(query_ratio)),
+        ("memo_rows".into(), Value::from(memo_rows)),
+        ("memo_entries".into(), Value::from(memo_entries)),
+        ("query_visits".into(), Value::from(walk_visits)),
         ("coldstart_domain".into(), Value::from(domain)),
         ("coldstart_scale".into(), Value::from(scale)),
         ("coldstart_items".into(), Value::from(lazy.store.len())),

@@ -1,12 +1,22 @@
 //! Property tests: the indexed (and sharded-parallel) §4.1 builders are
 //! *identical* — not just cost-equivalent — to the naive oracle builder
 //! on random multi-parent DAGs, and raw vs compressed-weighted instances
-//! agree on cost even with signed-zero / NaN-sanitized sentiments.
+//! agree on cost even with signed-zero / NaN-sanitized sentiments. On a
+//! 50k-node DAG, sparse plans keep one bucket per member concept and the
+//! plan → shard and append → shard_append paths stay identical under both
+//! ancestor indexes.
 
-use osars::core::{compress_pairs, CoverageGraph, Granularity, Pair};
-use osars::ontology::{Hierarchy, HierarchyBuilder, NodeId};
+use std::collections::BTreeSet;
+
+use osars::core::{
+    compress_pairs, CoverageGraph, Granularity, GraphBuildPlan, GraphBuildScratch, Pair,
+};
+use osars::datasets::{sample_grouped_pairs, synthetic_ontology, SyntheticOntologyConfig};
+use osars::ontology::{AncestorImpl, Hierarchy, HierarchyBuilder, NodeId};
 use osars::runtime::{par_for_groups, par_for_pairs, par_for_weighted_pairs};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Random rooted DAG: node i > 0 gets a parent among nodes 0..i, plus an
 /// optional second parent (multi-parent closures are the hard case for
@@ -133,6 +143,59 @@ proptest! {
             let sel_raw: Vec<usize> =
                 sel_w.iter().flat_map(|&u| to_raw[u].iter().copied()).collect();
             prop_assert_eq!(naive.cost_of(&sel_w), raw.cost_of(&sel_raw));
+        }
+    }
+}
+
+#[test]
+fn sparse_plans_on_a_50k_node_dag_match_naive_under_both_ancestor_impls() {
+    let h = synthetic_ontology(
+        &SyntheticOntologyConfig {
+            nodes: 50_000,
+            ..SyntheticOntologyConfig::huge()
+        },
+        7,
+    );
+    let mut rng = StdRng::seed_from_u64(11);
+    let (pairs, sentence_groups, _) = sample_grouped_pairs(&h, 400, 4, 5, &mut rng);
+    let distinct = pairs
+        .iter()
+        .map(|p| p.concept)
+        .collect::<BTreeSet<_>>()
+        .len();
+    let eps = 0.5;
+    // The append path folds in the second half of the sentences.
+    let keep = sentence_groups.len() / 2;
+    let cut = sentence_groups[keep][0];
+    let mut scratch = GraphBuildScratch::new();
+    for (groups, prefix_groups, prefix_len, gran) in [
+        (None, None, pairs.len() / 2, Granularity::Pairs),
+        (
+            Some(&sentence_groups[..]),
+            Some(&sentence_groups[..keep]),
+            cut,
+            Granularity::Sentences,
+        ),
+    ] {
+        let naive = match groups {
+            None => CoverageGraph::for_pairs_naive(&h, &pairs, eps),
+            Some(gs) => CoverageGraph::for_groups_naive(&h, &pairs, gs, eps, gran),
+        };
+        for imp in [AncestorImpl::Dense, AncestorImpl::Segmented] {
+            let plan = GraphBuildPlan::new_with(&h, &pairs, groups, eps, imp);
+            assert_eq!(plan.bucket_count(), distinct, "{imp:?} {gran:?}");
+            let shard = plan.shard(&h, &pairs, 0..pairs.len(), &mut scratch);
+            let fresh = CoverageGraph::assemble(&plan, gran, None, &[shard]);
+            assert_eq!(fresh, naive, "plan -> shard, {imp:?} {gran:?}");
+
+            let prefix = &pairs[..prefix_len];
+            let plan0 = GraphBuildPlan::new_with(&h, prefix, prefix_groups, eps, imp);
+            let shard0 = plan0.shard(&h, prefix, 0..prefix.len(), &mut scratch);
+            let (plan1, delta) = plan0.append(&h, &pairs, groups);
+            assert_eq!(plan1.bucket_count(), distinct, "{imp:?} {gran:?}");
+            let (shard1, _) = plan1.shard_append(&h, &pairs, &shard0, &delta, &mut scratch);
+            let appended = CoverageGraph::assemble(&plan1, gran, None, &[shard1]);
+            assert_eq!(appended, naive, "append -> shard_append, {imp:?} {gran:?}");
         }
     }
 }
