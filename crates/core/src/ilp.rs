@@ -1,6 +1,6 @@
 //! The Section 4.2 integer linear program (and its LP relaxation).
 
-use osa_solver::{Cmp, IlpOptions, Model, Status, VarId};
+use osa_solver::{Cmp, IlpOptions, Model, SolverError, Status, VarId};
 
 use crate::{CoverageGraph, Summarizer, Summary};
 
@@ -107,12 +107,25 @@ impl Summarizer for IlpSummarizer {
         k: usize,
         trace: Option<&osa_obs::Trace>,
     ) -> Summary {
+        // `summarize` has no error channel: panic with the typed message,
+        // which the batch runtime records as an item failure and serve
+        // answers with a 500.
+        self.try_summarize_traced(graph, k, trace)
+            .unwrap_or_else(|e| panic!("coverage ILP: {e}"))
+    }
+
+    fn try_summarize_traced(
+        &self,
+        graph: &CoverageGraph,
+        k: usize,
+        trace: Option<&osa_obs::Trace>,
+    ) -> Result<Summary, SolverError> {
         let k = k.min(graph.num_candidates());
         if k == 0 || graph.num_candidates() == 0 {
-            return Summary {
+            return Ok(Summary {
                 selected: Vec::new(),
                 cost: graph.root_cost(),
-            };
+            });
         }
         // Seed branch & bound with the greedy solution as an incumbent
         // bound — the same primal-heuristic warm start a commercial
@@ -127,13 +140,9 @@ impl Summarizer for IlpSummarizer {
         let _span = osa_obs::global().span("ilp.branch_bound");
         let _tspan = trace.map(|t| t.span("ilp.branch_bound"));
         // The coverage ILP is bounded and well-formed, so the one error
-        // left is a model too large for the dense tableau. `Summarizer`
-        // has no error channel: panic with the typed message, which the
-        // batch runtime records as an item failure and serve as a 500.
-        let sol = model
-            .solve_ilp_traced(&opts, trace)
-            .unwrap_or_else(|e| panic!("coverage ILP: {e}"));
-        match sol.status {
+        // left is a model too large for the dense tableau.
+        let sol = model.solve_ilp_traced(&opts, trace)?;
+        Ok(match sol.status {
             Status::Optimal => {
                 let mut selected: Vec<usize> = xs
                     .iter()
@@ -149,7 +158,7 @@ impl Summarizer for IlpSummarizer {
             // The bound-seeded search found nothing strictly better:
             // greedy's solution is proven optimal.
             _ => warm,
-        }
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -3,6 +3,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use osa_solver::SolverError;
+
 use crate::ilp::build_model;
 use crate::{CoverageGraph, Summarizer, Summary};
 
@@ -95,21 +97,29 @@ impl Summarizer for RandomizedRounding {
         k: usize,
         trace: Option<&osa_obs::Trace>,
     ) -> Summary {
+        // As in `IlpSummarizer`: a catchable panic with the typed message.
+        self.try_summarize_traced(graph, k, trace)
+            .unwrap_or_else(|e| panic!("coverage LP: {e}"))
+    }
+
+    fn try_summarize_traced(
+        &self,
+        graph: &CoverageGraph,
+        k: usize,
+        trace: Option<&osa_obs::Trace>,
+    ) -> Result<Summary, SolverError> {
         let k = k.min(graph.num_candidates());
         if k == 0 || graph.num_candidates() == 0 {
-            return Summary {
+            return Ok(Summary {
                 selected: Vec::new(),
                 cost: graph.root_cost(),
-            };
+            });
         }
         let (model, xs, _) = build_model(graph, k, false);
         // Auto picks the dual simplex here (non-negative distances), the
         // same method the paper selected in Gurobi for this LP class.
-        // As in `IlpSummarizer`: a too-large model is the only error left,
-        // surfaced as a catchable panic carrying the typed message.
-        let sol = model
-            .solve_lp_with(osa_solver::LpMethod::Auto)
-            .unwrap_or_else(|e| panic!("coverage LP: {e}"));
+        // As in `IlpSummarizer`: a too-large model is the only error left.
+        let sol = model.solve_lp_with(osa_solver::LpMethod::Auto)?;
         let weights: Vec<f64> = xs.iter().map(|&x| sol.value(x).max(0.0)).collect();
         let obs = osa_obs::global();
         obs.add("rr.lp_solves", 1);
@@ -128,7 +138,7 @@ impl Summarizer for RandomizedRounding {
                 best = Some(Summary { selected, cost });
             }
         }
-        best.expect("at least one trial runs")
+        Ok(best.expect("at least one trial runs"))
     }
 
     fn name(&self) -> &'static str {

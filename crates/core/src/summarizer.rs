@@ -1,5 +1,7 @@
 //! The common interface of the summarization algorithms.
 
+use osa_solver::SolverError;
+
 use crate::CoverageGraph;
 
 /// A computed size-k summary.
@@ -36,6 +38,20 @@ pub trait Summarizer {
     ) -> Summary {
         let _ = trace;
         self.summarize(graph, k)
+    }
+
+    /// [`summarize_traced`](Self::summarize_traced) for a caller that
+    /// reports a solver failure itself. The exact solvers return
+    /// [`SolverError::ModelTooLarge`] for a model over the solver's
+    /// dense-tableau cap, where `summarize` panics with that message;
+    /// the default, for algorithms without a solver, always succeeds.
+    fn try_summarize_traced(
+        &self,
+        graph: &CoverageGraph,
+        k: usize,
+        trace: Option<&osa_obs::Trace>,
+    ) -> Result<Summary, SolverError> {
+        Ok(self.summarize_traced(graph, k, trace))
     }
 
     /// Human-readable algorithm name (used by the benchmark harness).

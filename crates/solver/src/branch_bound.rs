@@ -120,7 +120,8 @@ pub(crate) fn solve(
             continue; // pruned by bound
         }
 
-        // Apply the node's bound decisions to a copy of the model.
+        // Apply the node's bound decisions to a copy of the model, which
+        // presolve then reduces in place.
         let mut sub = model.clone();
         let mut infeasible_bounds = false;
         for &(v, lb, ub) in &node.decisions {
@@ -137,11 +138,7 @@ pub(crate) fn solve(
             continue;
         }
 
-        let relax = match sub.solve_lp_with(crate::LpMethod::Auto) {
-            Ok(s) => s,
-            Err(SolverError::Unbounded) => return Err(SolverError::Unbounded),
-            Err(e) => return Err(e),
-        };
+        let relax = sub.into_solve_lp(crate::LpMethod::Auto)?;
         if relax.status == Status::Infeasible {
             pruned += 1;
             continue;

@@ -6,17 +6,26 @@
 //!
 //! * [`Model`] — a builder for `minimize cᵀx  s.t.  Ax {≤,=,≥} b, l ≤ x ≤ u`
 //!   with optional per-variable integrality,
-//! * [`Model::solve_lp`] — two-phase dense-tableau primal simplex with a
-//!   Dantzig/Bland hybrid pivot rule (anti-cycling),
+//! * [`Model::solve_lp`] — two-phase primal simplex with a Dantzig/Bland
+//!   hybrid pivot rule (anti-cycling),
+//! * [`Model::solve_lp_with`] — the same, or the dual simplex from the
+//!   all-slack basis ([`LpMethod::Auto`] picks it whenever the shifted
+//!   costs are non-negative, as they are on every coverage LP),
 //! * [`Model::solve_ilp`] — best-first branch & bound on LP relaxations
 //!   with most-fractional branching and incumbent pruning.
 //!
+//! Both simplex methods keep a dense, row-major tableau and pivot with
+//! one shared row-indexed kernel: a pivot gathers the pivot row's
+//! nonzeros once and updates only the rows that a flat column index
+//! lists for the entering column, applying to every nonzero cell exactly
+//! the arithmetic of a full dense update. The rows stay dense, so a
+//! model whose `rows × (columns + 1)` tableau would exceed
+//! [`MAX_TABLEAU_CELLS`] is refused with [`SolverError::ModelTooLarge`]
+//! before the tableau or its column index is allocated.
+//!
 //! The solver is deterministic, exact up to floating tolerance, and sized
 //! for the per-item instances the summarization benchmarks produce
-//! (hundreds of variables and constraints). It is a teaching-grade dense
-//! implementation: a model whose tableau would exceed
-//! [`MAX_TABLEAU_CELLS`] is refused with [`SolverError::ModelTooLarge`]
-//! instead of being allocated.
+//! (hundreds of variables and constraints).
 //!
 //! ## Example
 //!
@@ -40,6 +49,7 @@ mod error;
 mod model;
 mod presolve;
 mod simplex;
+mod tableau;
 
 pub use branch_bound::IlpOptions;
 pub use error::{SolverError, MAX_TABLEAU_CELLS};

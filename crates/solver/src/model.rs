@@ -197,13 +197,20 @@ impl Model {
     /// presolve (empty-row elimination, singleton-row bound tightening)
     /// runs first and can prove infeasibility outright.
     pub fn solve_lp_with(&self, method: LpMethod) -> Result<Solution, SolverError> {
+        self.clone().into_solve_lp(method)
+    }
+
+    /// [`solve_lp_with`](Model::solve_lp_with) on a model the caller no
+    /// longer needs: presolve reduces it in place instead of copying it.
+    pub(crate) fn into_solve_lp(self, method: LpMethod) -> Result<Solution, SolverError> {
+        let nv = self.num_vars();
         let reduced = match crate::presolve::presolve(self) {
             crate::presolve::Presolved::Model(m) => m,
             crate::presolve::Presolved::Infeasible => {
                 return Ok(Solution {
                     status: Status::Infeasible,
                     objective: f64::INFINITY,
-                    values: vec![0.0; self.num_vars()],
+                    values: vec![0.0; nv],
                 })
             }
         };

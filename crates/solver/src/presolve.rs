@@ -25,9 +25,8 @@ pub(crate) enum Presolved {
     Infeasible,
 }
 
-/// Apply the reductions to a copy of `model`.
-pub(crate) fn presolve(model: &Model) -> Presolved {
-    let mut m = model.clone();
+/// Apply the reductions to `m` in place.
+pub(crate) fn presolve(mut m: Model) -> Presolved {
     let initial_rows = m.cons.len();
     let mut changed = true;
     // Iterate to a fixpoint: tightening a bound can make other rows
@@ -136,7 +135,7 @@ mod tests {
         let x = m.add_var(0.0, 10.0, 0.0);
         m.add_constraint(&[(x, 1.0)], Cmp::Ge, 7.0);
         m.add_constraint(&[(x, 1.0)], Cmp::Le, 3.0);
-        assert!(matches!(presolve(&m), Presolved::Infeasible));
+        assert!(matches!(presolve(m.clone()), Presolved::Infeasible));
         let s = m.solve_lp().unwrap();
         assert_eq!(s.status, Status::Infeasible);
     }
@@ -147,7 +146,7 @@ mod tests {
         let x = m.add_var(0.0, 1.0, 1.0);
         // x − x ≤ 5 collapses to an empty row (terms cancel).
         m.add_constraint(&[(x, 1.0), (x, -1.0)], Cmp::Le, 5.0);
-        match presolve(&m) {
+        match presolve(m.clone()) {
             Presolved::Model(r) => assert_eq!(r.num_constraints(), 0),
             Presolved::Infeasible => panic!("tautology dropped, not infeasible"),
         }
@@ -155,7 +154,7 @@ mod tests {
         let mut bad = Model::minimize();
         let y = bad.add_var(0.0, 1.0, 1.0);
         bad.add_constraint(&[(y, 1.0), (y, -1.0)], Cmp::Eq, 3.0);
-        assert!(matches!(presolve(&bad), Presolved::Infeasible));
+        assert!(matches!(presolve(bad), Presolved::Infeasible));
     }
 
     #[test]
@@ -166,7 +165,7 @@ mod tests {
         let x = m.add_var(0.0, 0.0, 0.0); // fixed by bounds
         let y = m.add_var(0.0, 1.0, -1.0);
         m.add_constraint(&[(y, 1.0), (x, -1.0)], Cmp::Le, 0.0);
-        match presolve(&m) {
+        match presolve(m.clone()) {
             Presolved::Model(r) => {
                 assert_eq!(r.num_constraints(), 0, "row absorbed");
                 let s = r.solve_lp().unwrap();
@@ -190,7 +189,7 @@ mod tests {
         m.add_constraint(&[(x, 3.0), (y, 2.0)], Cmp::Le, 18.0);
         let s = m.solve_lp().unwrap();
         assert!((s.objective + 36.0).abs() < 1e-7);
-        match presolve(&m) {
+        match presolve(m.clone()) {
             Presolved::Model(r) => {
                 assert_eq!(r.num_constraints(), 1, "two singletons absorbed");
             }

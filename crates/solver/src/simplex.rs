@@ -5,8 +5,14 @@
 //! Dantzig's (most negative reduced cost) with an automatic switch to
 //! Bland's rule when the objective stalls, which guarantees termination on
 //! the heavily degenerate k-median LPs the summarizer produces.
+//!
+//! Pivots run through the row-indexed kernel shared with the dual
+//! simplex ([`crate::tableau`]). The ratio test scans the rows in
+//! ascending index order, which its tolerance-based tie-breaking
+//! depends on.
 
 use crate::model::{Cmp, Model, Solution, Status};
+use crate::tableau::Tableau;
 use crate::SolverError;
 
 const TOL: f64 = 1e-9;
@@ -14,102 +20,48 @@ const TOL: f64 = 1e-9;
 const STALL_LIMIT: usize = 64;
 const MAX_ITERS: usize = 200_000;
 
-/// A dense simplex tableau: `rows × (cols + 1)` where the last column is
-/// the RHS, plus a maintained reduced-cost row.
-struct Tableau {
-    m: usize,
-    /// Total columns excluding RHS.
-    n: usize,
-    /// Row-major `m × (n + 1)` coefficients.
-    a: Vec<f64>,
-    /// Basic variable (column index) of each row.
-    basis: Vec<usize>,
-    /// Reduced costs, length `n + 1`; the last entry holds `-objective`.
-    z: Vec<f64>,
+/// The primal method's state around the shared [`Tableau`].
+struct Primal {
+    t: Tableau,
     /// Columns allowed to enter the basis (artificials get banned after
     /// phase 1).
     allowed: Vec<bool>,
     /// Rows still active (redundant rows are deactivated after phase 1).
     active: Vec<bool>,
-    /// Pivot operations performed (published as `solver.simplex_pivots`).
-    pivots: u64,
 }
 
-impl Tableau {
-    #[inline]
-    fn at(&self, r: usize, c: usize) -> f64 {
-        self.a[r * (self.n + 1) + c]
-    }
-
-    #[inline]
-    fn rhs(&self, r: usize) -> f64 {
-        self.at(r, self.n)
-    }
-
-    fn pivot(&mut self, pr: usize, pc: usize) {
-        self.pivots += 1;
-        let w = self.n + 1;
-        let piv = self.a[pr * w + pc];
-        debug_assert!(piv.abs() > TOL);
-        let inv = 1.0 / piv;
-        for c in 0..w {
-            self.a[pr * w + c] *= inv;
-        }
-        // Snapshot of the (now normalized) pivot row for the updates.
-        let prow: Vec<f64> = self.a[pr * w..(pr + 1) * w].to_vec();
-        for r in 0..self.m {
-            if r == pr || !self.active[r] {
-                continue;
-            }
-            let f = self.a[r * w + pc];
-            if f == 0.0 {
-                continue;
-            }
-            let row = &mut self.a[r * w..(r + 1) * w];
-            for (x, &p) in row.iter_mut().zip(&prow) {
-                *x -= f * p;
-            }
-            row[pc] = 0.0; // exact zero against drift
-        }
-        let f = self.z[pc];
-        if f != 0.0 {
-            for (x, &p) in self.z.iter_mut().zip(&prow) {
-                *x -= f * p;
-            }
-            self.z[pc] = 0.0;
-        }
-        self.basis[pr] = pc;
-    }
-
+impl Primal {
     /// Rebuild the reduced-cost row for objective `costs` (length `n`)
     /// given the current basis.
     fn set_objective(&mut self, costs: &[f64]) {
-        let w = self.n + 1;
-        self.z[..self.n].copy_from_slice(costs);
-        self.z[self.n] = 0.0;
-        for r in 0..self.m {
+        let t = &mut self.t;
+        t.z.copy_from_slice(costs);
+        t.z0 = 0.0;
+        for r in 0..t.m {
             if !self.active[r] {
                 continue;
             }
-            let cb = costs[self.basis[r]];
+            let cb = costs[t.basis[r]];
             if cb == 0.0 {
                 continue;
             }
-            let row = &self.a[r * w..(r + 1) * w];
-            for (zj, &aj) in self.z.iter_mut().zip(row) {
+            let row = &t.a[r * t.n..(r + 1) * t.n];
+            for (zj, &aj) in t.z.iter_mut().zip(row) {
                 *zj -= cb * aj;
             }
+            t.z0 -= cb * t.b[r];
         }
         // Basic columns must read exactly zero.
-        for r in 0..self.m {
+        for r in 0..t.m {
             if self.active[r] {
-                self.z[self.basis[r]] = 0.0;
+                t.z[t.basis[r]] = 0.0;
             }
         }
     }
 
     /// Run simplex iterations until optimality or unboundedness.
     fn optimize(&mut self) -> Result<(), SolverError> {
+        let t = &mut self.t;
         let mut stall = 0usize;
         let mut last_obj = f64::INFINITY;
         for _ in 0..MAX_ITERS {
@@ -117,17 +69,17 @@ impl Tableau {
             // Entering column.
             let mut enter: Option<usize> = None;
             if bland {
-                for j in 0..self.n {
-                    if self.allowed[j] && self.z[j] < -TOL {
+                for j in 0..t.n {
+                    if self.allowed[j] && t.z[j] < -TOL {
                         enter = Some(j);
                         break;
                     }
                 }
             } else {
                 let mut best = -TOL;
-                for j in 0..self.n {
-                    if self.allowed[j] && self.z[j] < best {
-                        best = self.z[j];
+                for j in 0..t.n {
+                    if self.allowed[j] && t.z[j] < best {
+                        best = t.z[j];
                         enter = Some(j);
                     }
                 }
@@ -135,20 +87,20 @@ impl Tableau {
             let Some(pc) = enter else {
                 return Ok(()); // optimal
             };
-            // Ratio test (leaving row); ties broken by smallest basis
-            // column index (Bland-compatible).
+            // Ratio test (leaving row) in ascending row order; ties broken
+            // by smallest basis column index (Bland-compatible).
             let mut pr: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
-            for r in 0..self.m {
+            for r in 0..t.m {
                 if !self.active[r] {
                     continue;
                 }
-                let arc = self.at(r, pc);
+                let arc = t.at(r, pc);
                 if arc > TOL {
-                    let ratio = self.rhs(r) / arc;
+                    let ratio = t.b[r] / arc;
                     let better = ratio < best_ratio - TOL
                         || (ratio < best_ratio + TOL
-                            && pr.is_some_and(|p| self.basis[r] < self.basis[p]));
+                            && pr.is_some_and(|p| t.basis[r] < t.basis[p]));
                     if better {
                         best_ratio = ratio;
                         pr = Some(r);
@@ -158,8 +110,10 @@ impl Tableau {
             let Some(pr) = pr else {
                 return Err(SolverError::Unbounded);
             };
-            self.pivot(pr, pc);
-            let obj = -self.z[self.n];
+            // Inactive rows are all zero, so the kernel never updates them.
+            t.gather_row(pr);
+            t.pivot(pc);
+            let obj = -t.z0;
             if obj < last_obj - TOL {
                 stall = 0;
                 last_obj = obj;
@@ -255,8 +209,6 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, SolverError> {
         .filter(|r| matches!(r.cmp, Cmp::Ge | Cmp::Eq))
         .count();
     let n = nv + n_slack + n_art;
-    let w = n + 1;
-    SolverError::check_tableau(m, w)?;
 
     let mut allowed = vec![true; n];
     for (j, &f) in fixed.iter().enumerate() {
@@ -264,41 +216,37 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, SolverError> {
             allowed[j] = false;
         }
     }
-    let mut t = Tableau {
-        m,
-        n,
-        a: vec![0.0; m * w],
-        basis: vec![0; m],
-        z: vec![0.0; w],
+    let mut p = Primal {
+        t: Tableau::new(m, n)?,
         allowed,
         active: vec![true; m],
-        pivots: 0,
     };
+    let t = &mut p.t;
 
     let mut next_slack = nv;
     let mut next_art = nv + n_slack;
     let mut art_cols: Vec<usize> = Vec::with_capacity(n_art);
     for (i, r) in rows.iter().enumerate() {
         for &(j, coef) in &r.terms {
-            t.a[i * w + j] += coef;
+            t.add(i, j, coef);
         }
-        t.a[i * w + n] = r.rhs;
+        t.b[i] = r.rhs;
         match r.cmp {
             Cmp::Le => {
-                t.a[i * w + next_slack] = 1.0;
+                t.add(i, next_slack, 1.0);
                 t.basis[i] = next_slack;
                 next_slack += 1;
             }
             Cmp::Ge => {
-                t.a[i * w + next_slack] = -1.0;
+                t.add(i, next_slack, -1.0);
                 next_slack += 1;
-                t.a[i * w + next_art] = 1.0;
+                t.add(i, next_art, 1.0);
                 t.basis[i] = next_art;
                 art_cols.push(next_art);
                 next_art += 1;
             }
             Cmp::Eq => {
-                t.a[i * w + next_art] = 1.0;
+                t.add(i, next_art, 1.0);
                 t.basis[i] = next_art;
                 art_cols.push(next_art);
                 next_art += 1;
@@ -312,11 +260,11 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, SolverError> {
         for &j in &art_cols {
             phase1[j] = 1.0;
         }
-        t.set_objective(&phase1);
-        t.optimize()?;
-        let infeas = -t.z[n];
+        p.set_objective(&phase1);
+        p.optimize()?;
+        let infeas = -p.t.z0;
         if infeas > 1e-6 {
-            osa_obs::global().add("solver.simplex_pivots", t.pivots);
+            osa_obs::global().add("solver.simplex_pivots", p.t.pivots);
             return Ok(Solution {
                 status: Status::Infeasible,
                 objective: f64::INFINITY,
@@ -326,26 +274,24 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, SolverError> {
         // Ban artificials and clear any still in the basis (at value 0).
         let is_art = |j: usize| j >= nv + n_slack;
         for &j in &art_cols {
-            t.allowed[j] = false;
+            p.allowed[j] = false;
         }
+        let t = &mut p.t;
         for r in 0..m {
             if !is_art(t.basis[r]) {
                 continue;
             }
             // Try to pivot a structural/slack column in.
-            let mut pivoted = false;
-            for j in 0..nv + n_slack {
-                if t.allowed[j] && t.at(r, j).abs() > 1e-7 {
-                    t.pivot(r, j);
-                    pivoted = true;
-                    break;
+            match (0..nv + n_slack).find(|&j| p.allowed[j] && t.at(r, j).abs() > 1e-7) {
+                Some(j) => {
+                    t.gather_row(r);
+                    t.pivot(j);
                 }
-            }
-            if !pivoted {
-                // Redundant row: deactivate it.
-                t.active[r] = false;
-                for c in 0..w {
-                    t.a[r * w + c] = 0.0;
+                None => {
+                    // Redundant row: deactivate it.
+                    p.active[r] = false;
+                    t.a[r * n..(r + 1) * n].fill(0.0);
+                    t.b[r] = 0.0;
                 }
             }
         }
@@ -356,13 +302,14 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, SolverError> {
     for (j, v) in model.vars.iter().enumerate() {
         costs[j] = v.obj;
     }
-    t.set_objective(&costs);
-    t.optimize()?;
+    p.set_objective(&costs);
+    p.optimize()?;
 
+    let t = &p.t;
     let mut values = vec![0.0; nv];
     for r in 0..m {
-        if t.active[r] && t.basis[r] < nv {
-            values[t.basis[r]] = t.rhs(r);
+        if p.active[r] && t.basis[r] < nv {
+            values[t.basis[r]] = t.b[r];
         }
     }
     for (j, v) in model.vars.iter().enumerate() {

@@ -770,9 +770,10 @@ fn cmd_summarize(flags: &HashMap<String, String>) -> Result<(), String> {
             .as_ref()
             .map(|t| t.span(&format!("solve.{algorithm_name}")));
         obs.time(&format!("solve.{algorithm_name}"), || {
-            alg.summarize_traced(&graph, k, trace.as_ref())
+            alg.try_summarize_traced(&graph, k, trace.as_ref())
         })
     };
+    let summary = summary.map_err(|e| e.to_string())?;
     root_span.take();
     println!(
         "{} selected {} of {} candidates in {micros:.0}µs; cost {} (root-only {})",

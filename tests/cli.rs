@@ -930,3 +930,44 @@ fn help_lists_serve_and_loadgen() {
         assert!(text.contains(needle), "help is missing '{needle}':\n{text}");
     }
 }
+
+#[test]
+fn a_model_over_the_tableau_cap_is_a_clean_error() {
+    // Item 53 of this doctors-large corpus has 240 reviews: its coverage
+    // program needs a ~42k x 84k dense tableau, over the solver's cap.
+    let path = tmp_corpus("doctors_large_cap.json");
+    let out = osars(&[
+        "generate",
+        "--domain",
+        "doctors",
+        "--scale",
+        "large",
+        "--seed",
+        "3",
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    for alg in ["ilp", "rr"] {
+        let out = osars(&[
+            "summarize",
+            "--corpus",
+            path.to_str().unwrap(),
+            "--item",
+            "53",
+            "--granularity",
+            "pairs",
+            "--algorithm",
+            alg,
+            "--k",
+            "2",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{alg}: {stderr}");
+        assert!(
+            stderr.starts_with("error: model too large: "),
+            "{alg}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{alg}: {stderr}");
+    }
+}

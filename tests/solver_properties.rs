@@ -295,3 +295,74 @@ proptest! {
         }
     }
 }
+
+// --- golden digest --------------------------------------------------------
+//
+// Bit-level pin of the exact solvers on the Figs. 4–5 coverage LPs: any
+// change to a pivot rule, to the order of the floating-point operations
+// or to the branch & bound search moves this digest. A change that is
+// meant to keep every pivot must leave it exactly as it is.
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn solution(&mut self, s: &osars::solver::Solution) {
+        self.word(s.status as u64);
+        self.word(s.objective.to_bits());
+        self.word(s.values.len() as u64);
+        for v in &s.values {
+            self.word(v.to_bits());
+        }
+    }
+
+    fn summary(&mut self, s: &osars::core::Summary) {
+        self.word(s.cost);
+        self.word(s.selected.len() as u64);
+        for &u in &s.selected {
+            self.word(u as u64);
+        }
+    }
+}
+
+/// Recorded with dense pivot loops that updated every cell of every
+/// row; the row-indexed kernel must reproduce it bit for bit.
+const GOLDEN_DIGEST: u64 = 0x9d15_517e_5722_1ffb;
+
+#[test]
+fn exact_solvers_match_the_golden_digest_on_coverage_lps() {
+    use osars::core::{
+        __diag_build_model, Granularity, IlpSummarizer, RandomizedRounding, Summarizer,
+    };
+    use osars::solver::LpMethod;
+
+    let w = osa_bench::quant_workload(6, 40, 2024);
+    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    for (i, item) in w.items.iter().enumerate() {
+        for g in [
+            Granularity::Pairs,
+            Granularity::Sentences,
+            Granularity::Reviews,
+        ] {
+            let graph = item.graph(&w.hierarchy, 0.5, g);
+            for k in [2, 4] {
+                d.summary(&IlpSummarizer.summarize(&graph, k));
+                d.summary(&RandomizedRounding::with_seed(7 + i as u64).summarize(&graph, k));
+                // The LP relaxation itself, through both simplex methods.
+                let (model, _, _) = __diag_build_model(&graph, k, false);
+                d.solution(&model.solve_lp_with(LpMethod::Auto).expect("coverage LP"));
+                if g == Granularity::Pairs {
+                    d.solution(&model.solve_lp_with(LpMethod::Primal).expect("coverage LP"));
+                }
+            }
+        }
+    }
+    assert_eq!(d.0, GOLDEN_DIGEST, "golden digest moved: {:#018x}", d.0);
+}
