@@ -15,7 +15,7 @@ use osa_text::{
     SentimentRegressor,
 };
 
-use crate::{Corpus, Item};
+use crate::{Corpus, Item, Review};
 
 /// The sentence-sentiment estimator used by extraction: either the
 /// deterministic rule-based lexicon or the learned regressor (the paper's
@@ -209,59 +209,21 @@ pub fn extract_item_with(
 /// Full extraction is a pure left-to-right fold over the review stream
 /// (pair/sentence indices grow monotonically, the token pool is in
 /// first-occurrence order), so extending a prefix extraction with the
-/// suffix reviews is **byte-identical** to re-extracting the whole item —
-/// under either [`ExtractImpl`], which are themselves byte-identical.
+/// suffix reviews is **byte-identical** to re-extracting the whole item.
+/// The new reviews run through the interned engine on the worker's
+/// `scratch`, resumed from `prev`'s token pool.
 pub fn extract_append(
     extractor: &Extractor,
     prev: &ExtractedItem,
     item: &Item,
     prev_reviews: usize,
+    scratch: &mut ExtractScratch,
 ) -> ExtractedItem {
     assert_eq!(prev.reviews.len(), prev_reviews, "prev covers a prefix");
     assert!(item.reviews.len() >= prev_reviews, "reviews were appended");
-    let model = SentimentModel::Lexicon(extractor.lexicon().clone());
-    let matcher = extractor.matcher();
     let mut out = prev.clone();
-    let mut pool_map: HashMap<String, u32> = out
-        .tokens
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.clone(), i as u32))
-        .collect();
-    for review in &item.reviews[prev_reviews..] {
-        let mut sentence_ids = Vec::new();
-        for text in split_sentences(&review.text) {
-            let tokens = tokenize(&text);
-            let sentiment = model.score(&tokens);
-            let mentions = matcher.find(&tokens);
-            let mut pair_indices = Vec::with_capacity(mentions.len());
-            for m in mentions {
-                pair_indices.push(out.pairs.len());
-                out.pairs.push(Pair::new(m.concept, sentiment));
-            }
-            let mut token_ids = Vec::with_capacity(tokens.len());
-            for t in tokens {
-                let id = match pool_map.entry(t) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let id = out.tokens.len() as u32;
-                        out.tokens.push(e.key().clone());
-                        e.insert(id);
-                        id
-                    }
-                };
-                token_ids.push(id);
-            }
-            sentence_ids.push(out.sentences.len());
-            out.sentences.push(ExtractedSentence {
-                text,
-                tokens: token_ids,
-                pair_indices,
-                sentiment,
-            });
-        }
-        out.reviews.push(sentence_ids);
-    }
+    extractor.interned.resume_item(scratch, &out.tokens);
+    extractor.extend_interned(&item.reviews[prev_reviews..], None, &mut out, scratch);
     out
 }
 
@@ -356,16 +318,6 @@ impl Extractor {
         }
     }
 
-    /// The naive dictionary matcher.
-    pub fn matcher(&self) -> &ConceptMatcher {
-        &self.matcher
-    }
-
-    /// The sentiment lexicon both implementations score with.
-    pub fn lexicon(&self) -> &SentimentLexicon {
-        &self.lexicon
-    }
-
     /// The precompiled interned engine.
     pub fn interned(&self) -> &InternedExtractor {
         &self.interned
@@ -409,14 +361,29 @@ impl Extractor {
         model: Option<&SentimentModel>,
         scratch: &mut ExtractScratch,
     ) -> ExtractedItem {
-        let ie = &self.interned;
         scratch.begin_item();
-        let mut pairs = Vec::new();
-        let mut sentences = Vec::new();
-        let mut reviews = Vec::with_capacity(item.reviews.len());
-        let mut pool: Vec<String> = Vec::new();
+        let mut out = ExtractedItem {
+            pairs: Vec::new(),
+            sentences: Vec::new(),
+            reviews: Vec::with_capacity(item.reviews.len()),
+            tokens: Vec::new(),
+        };
+        self.extend_interned(&item.reviews, model, &mut out, scratch);
+        out
+    }
 
-        for review in &item.reviews {
+    /// Extract `reviews` onto `out` with the interned engine, then finish
+    /// the item in `scratch` (which the caller began or resumed for
+    /// `out`).
+    fn extend_interned(
+        &self,
+        reviews: &[Review],
+        model: Option<&SentimentModel>,
+        out: &mut ExtractedItem,
+        scratch: &mut ExtractScratch,
+    ) {
+        let ie = &self.interned;
+        for review in reviews {
             let mut sentence_ids = Vec::new();
             for text in split_sentences(&review.text) {
                 ie.tokenize_sentence(&text, scratch);
@@ -430,28 +397,21 @@ impl Extractor {
                 ie.find(scratch);
                 let mut pair_indices = Vec::with_capacity(scratch.mentions().len());
                 for m in scratch.mentions() {
-                    pair_indices.push(pairs.len());
-                    pairs.push(Pair::new(m.concept, sentiment));
+                    pair_indices.push(out.pairs.len());
+                    out.pairs.push(Pair::new(m.concept, sentiment));
                 }
-                let token_ids = ie.item_token_ids(scratch, &mut pool);
-                sentence_ids.push(sentences.len());
-                sentences.push(ExtractedSentence {
+                let token_ids = ie.item_token_ids(scratch, &mut out.tokens);
+                sentence_ids.push(out.sentences.len());
+                out.sentences.push(ExtractedSentence {
                     text,
                     tokens: token_ids,
                     pair_indices,
                     sentiment,
                 });
             }
-            reviews.push(sentence_ids);
+            out.reviews.push(sentence_ids);
         }
         scratch.finish_item();
-
-        ExtractedItem {
-            pairs,
-            sentences,
-            reviews,
-            tokens: pool,
-        }
     }
 }
 
@@ -623,7 +583,7 @@ mod tests {
                     let mut prefix = item.clone();
                     prefix.reviews.truncate(keep);
                     let prev = ex.extract(&prefix, ExtractImpl::Interned, &mut scratch);
-                    let grown = extract_append(&ex, &prev, item, keep);
+                    let grown = extract_append(&ex, &prev, item, keep, &mut scratch);
                     for which in [ExtractImpl::Interned, ExtractImpl::Naive] {
                         let full = ex.extract(item, which, &mut scratch);
                         assert_eq!(grown, full, "item {} keep {keep}", item.name);

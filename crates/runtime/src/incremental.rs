@@ -186,7 +186,13 @@ impl ItemArtifacts {
                 graph,
             };
         }
-        let extracted = extract_append(extractor, &self.extracted, item, self.reviews);
+        let extracted = extract_append(
+            extractor,
+            &self.extracted,
+            item,
+            self.reviews,
+            &mut scratch.extract,
+        );
         let graph = match &self.graph {
             Some(prev) if graph_eligible(opts) && prev.matches(opts) => {
                 let groups = groups_of(&extracted, opts.granularity);

@@ -14,7 +14,14 @@ use std::collections::{BTreeMap, VecDeque};
 /// wins, mirroring [`Trie::insert`](crate::Trie::insert)).
 #[derive(Debug, Clone)]
 pub struct IdAutomaton<T> {
-    /// Goto transitions per state, sorted by token ID for binary search.
+    /// The root's goto function as a dense row indexed by token ID: a
+    /// step from the root is one load. Token IDs past the row (such as
+    /// per-item IDs beyond the shared vocabulary) go to the root. Its
+    /// length is one past the largest token that starts a pattern, so
+    /// the row is sized for dense interner IDs.
+    root: Vec<u32>,
+    /// Goto transitions of every other state, sorted by token ID for
+    /// binary search (the root's entry is empty).
     trans: Vec<Vec<(u32, u32)>>,
     /// Failure link per state (longest proper suffix that is a prefix).
     fail: Vec<u32>,
@@ -90,11 +97,19 @@ impl<T: Clone> IdAutomaton<T> {
             }
         }
 
+        let mut trans: Vec<Vec<(u32, u32)>> = children
+            .into_iter()
+            .map(|m| m.into_iter().collect())
+            .collect();
+        let first = std::mem::take(&mut trans[0]);
+        let mut root = vec![0u32; first.last().map_or(0, |&(tok, _)| tok as usize + 1)];
+        for (tok, next) in first {
+            root[tok as usize] = next;
+        }
+
         IdAutomaton {
-            trans: children
-                .into_iter()
-                .map(|m| m.into_iter().collect())
-                .collect(),
+            root,
+            trans,
             fail,
             out,
             payloads,
@@ -104,16 +119,14 @@ impl<T: Clone> IdAutomaton<T> {
 
     /// Follow the goto/failure functions from state `s` on token `tok`.
     fn step(&self, mut s: u32, tok: u32) -> u32 {
-        loop {
+        while s != 0 {
             let row = &self.trans[s as usize];
             if let Ok(i) = row.binary_search_by_key(&tok, |&(t, _)| t) {
                 return row[i].1;
             }
-            if s == 0 {
-                return 0;
-            }
             s = self.fail[s as usize];
         }
+        self.root.get(tok as usize).copied().unwrap_or(0)
     }
 
     /// Scan `ids`, pushing non-overlapping longest matches as
@@ -213,6 +226,17 @@ mod tests {
     fn suffix_pattern_found_via_failure_links() {
         // [5,6,7] is not a pattern, but its suffix [6,7] is.
         check(&[(&[6, 7], 3), (&[5, 6, 9], 4)], &[5, 6, 7]);
+    }
+
+    #[test]
+    fn tokens_past_the_root_row_restart_at_the_root() {
+        // The dense root row ends at token 3; larger IDs (per-item local
+        // words) must behave like any token with no pattern.
+        check(
+            &[(&[1, 2], 1), (&[3], 2)],
+            &[9, 1, 2, 1_000_000, 3, 1, 70_000, 2],
+        );
+        check(&[(&[1, 2], 1), (&[2, 9], 2)], &[1, 2, 9, u32::MAX, 2, 9]);
     }
 
     #[test]

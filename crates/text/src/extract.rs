@@ -15,9 +15,9 @@
 //!   [`SentimentLexicon::score_tokens`](crate::SentimentLexicon::score_tokens).
 //!
 //! Out-of-vocabulary review tokens are interned into a per-item local
-//! tail kept in [`ExtractScratch`]; their stems are memoized once per
-//! distinct word per worker (`stem_memo`), so stemming never runs twice
-//! for the same surface form on a worker. All outputs — mentions,
+//! tail kept in [`ExtractScratch`]; their stems are memoized per worker
+//! (`stem_memo`, bounded in bytes), so stemming rarely runs twice for
+//! the same surface form on a worker. All outputs — mentions,
 //! sentiments, token identity — are defined purely by token *string*
 //! equality, so they are byte-identical to the naive trie/HashMap oracle
 //! regardless of worker count or item order.
@@ -38,6 +38,16 @@ use crate::tokenize::tokenize_into;
 /// Sentinel for "stem not yet resolved" in per-item local tables.
 const UNRESOLVED: u32 = u32::MAX;
 
+/// Bound on a worker's stem memo, in bytes of words and stems plus
+/// [`STEM_MEMO_ENTRY_OVERHEAD`] per entry. Past it the memo is dropped
+/// and starts over, so a long-lived worker fed unbounded text (a daemon
+/// worker extracting ingested reviews) holds a bounded memo; a corpus
+/// vocabulary stays far below it.
+const STEM_MEMO_BYTES: usize = 4 << 20;
+/// Per-entry cost of the memo beyond its strings: two `String` headers
+/// and the map's slot.
+const STEM_MEMO_ENTRY_OVERHEAD: usize = 96;
+
 /// Per-worker reusable state for the interned extraction path.
 ///
 /// Holds the tokenization buffers, the per-item local interner tail for
@@ -56,15 +66,20 @@ pub struct ExtractScratch {
     /// Interned IDs of each token's stem, parallel to `token_ids`.
     stem_ids: Vec<u32>,
     // Per-item local interner for out-of-vocabulary words; local index
-    // `l` is global ID `shared_len + l`.
+    // `l` is global ID `shared_len + l`. Its keys are review text, so it
+    // keeps std's randomly keyed hasher.
     local_map: HashMap<String, u32>,
     local_strings: Vec<String>,
     /// Global stem ID per local entry (`UNRESOLVED` until the word occurs
     /// as a token).
     local_stem: Vec<u32>,
     /// Worker-lifetime word → stem memo (pure-function cache; survives
-    /// across items, which is safe precisely because it is pure).
+    /// across items, which is safe precisely because it is pure). Its
+    /// keys are review text, so it keeps std's randomly keyed hasher,
+    /// and it restarts empty past [`STEM_MEMO_BYTES`].
     stem_memo: HashMap<String, String>,
+    /// What `stem_memo` holds, as counted against [`STEM_MEMO_BYTES`].
+    stem_memo_bytes: usize,
     // Automaton scan scratch.
     best: Vec<(u32, u32)>,
     matches: Vec<(usize, usize, NodeId)>,
@@ -280,6 +295,7 @@ impl InternedExtractor {
             local_strings,
             local_stem,
             stem_memo,
+            stem_memo_bytes,
             stem_hits,
             stem_misses,
             ..
@@ -307,29 +323,24 @@ impl InternedExtractor {
             };
             if local_stem[lidx as usize] == UNRESOLVED {
                 *stem_misses += 1;
-                let sid = if let Some(s) = stem_memo.get(word) {
-                    resolve_or_intern_local(
-                        &self.vocab,
-                        self.shared_len,
-                        local_map,
-                        local_strings,
-                        local_stem,
-                        s,
-                    )
-                } else {
+                if !stem_memo.contains_key(word) {
                     let s = stem(word);
-                    let sid = resolve_or_intern_local(
-                        &self.vocab,
-                        self.shared_len,
-                        local_map,
-                        local_strings,
-                        local_stem,
-                        &s,
-                    );
+                    let cost = word.len() + s.len() + STEM_MEMO_ENTRY_OVERHEAD;
+                    if *stem_memo_bytes + cost > STEM_MEMO_BYTES {
+                        *stem_memo = HashMap::new();
+                        *stem_memo_bytes = 0;
+                    }
+                    *stem_memo_bytes += cost;
                     stem_memo.insert(word.to_owned(), s);
-                    sid
-                };
-                local_stem[lidx as usize] = sid;
+                }
+                local_stem[lidx as usize] = resolve_or_intern_local(
+                    &self.vocab,
+                    self.shared_len,
+                    local_map,
+                    local_strings,
+                    local_stem,
+                    &stem_memo[word],
+                );
             } else {
                 *stem_hits += 1;
             }
@@ -453,15 +464,7 @@ impl InternedExtractor {
     /// stream — a function of the text alone, so the naive oracle
     /// produces the identical pool and IDs.
     pub fn item_token_ids(&self, scratch: &mut ExtractScratch, pool: &mut Vec<String>) -> Vec<u32> {
-        if scratch.item_of_shared.len() < self.shared_len as usize {
-            scratch.item_of_shared.resize(self.shared_len as usize, 0);
-            scratch
-                .item_epoch_shared
-                .resize(self.shared_len as usize, 0);
-        }
-        scratch
-            .item_of_local
-            .resize(scratch.local_strings.len(), UNRESOLVED);
+        self.grow_remap(scratch);
         let mut out = Vec::with_capacity(scratch.token_ids.len());
         for k in 0..scratch.token_ids.len() {
             let gid = scratch.token_ids[k];
@@ -490,6 +493,50 @@ impl InternedExtractor {
             out.push(iid);
         }
         out
+    }
+
+    /// Start an item that continues an extraction whose token pool is
+    /// `pool`, instead of [`ExtractScratch::begin_item`]: every pool word
+    /// keeps its pool index, so [`item_token_ids`](Self::item_token_ids)
+    /// numbers only the words the pool lacks, after it. That is the
+    /// numbering a fresh extraction of the whole item gives, because the
+    /// pool is in first-occurrence order. Out-of-vocabulary pool words
+    /// enter the local tail unstemmed; each is stemmed on its first
+    /// occurrence in the new text.
+    pub fn resume_item(&self, scratch: &mut ExtractScratch, pool: &[String]) {
+        scratch.begin_item();
+        for (id, word) in pool.iter().enumerate() {
+            let gid = resolve_or_intern_local(
+                &self.vocab,
+                self.shared_len,
+                &mut scratch.local_map,
+                &mut scratch.local_strings,
+                &mut scratch.local_stem,
+                word,
+            );
+            self.grow_remap(scratch);
+            let id = id as u32;
+            if gid < self.shared_len {
+                scratch.item_epoch_shared[gid as usize] = scratch.epoch;
+                scratch.item_of_shared[gid as usize] = id;
+            } else {
+                scratch.item_of_local[(gid - self.shared_len) as usize] = id;
+            }
+        }
+    }
+
+    /// Size the per-item remap tables for the shared vocabulary and the
+    /// current local tail.
+    fn grow_remap(&self, scratch: &mut ExtractScratch) {
+        if scratch.item_of_shared.len() < self.shared_len as usize {
+            scratch.item_of_shared.resize(self.shared_len as usize, 0);
+            scratch
+                .item_epoch_shared
+                .resize(self.shared_len as usize, 0);
+        }
+        scratch
+            .item_of_local
+            .resize(scratch.local_strings.len(), UNRESOLVED);
     }
 }
 
@@ -640,6 +687,26 @@ mod tests {
         // miss once; the repeat of "splendiferous" hits.
         assert_eq!(scratch.stem_hits + scratch.stem_misses, 3);
         assert_eq!(scratch.stem_misses, 2);
+    }
+
+    #[test]
+    fn stem_memo_restarts_past_its_byte_bound() {
+        let h = phone();
+        let ie = InternedExtractor::new(&h, &SentimentLexicon::default());
+        let mut scratch = ExtractScratch::default();
+        let mut words = 0;
+        for item in 0..8 {
+            scratch.begin_item();
+            let text: String = (0..8000).map(|i| format!("zq{item}x{i}ings ")).collect();
+            ie.tokenize_sentence(&text, &mut scratch);
+            words += scratch.num_tokens();
+            assert!(scratch.stem_memo_bytes <= STEM_MEMO_BYTES);
+            for k in 0..scratch.num_tokens() {
+                let word = ie.token_str(&scratch, scratch.token_ids[k]);
+                assert_eq!(ie.token_str(&scratch, scratch.stem_ids[k]), stem(word));
+            }
+        }
+        assert!(scratch.stem_memo.len() < words, "the memo restarted");
     }
 
     #[test]

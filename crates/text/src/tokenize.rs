@@ -1,4 +1,11 @@
 //! Tokenization and sentence segmentation.
+//!
+//! Both work on bytes. The characters that decide a token or sentence
+//! boundary in ASCII text (`\n ! ? . ' -` and ASCII alphanumerics) are
+//! single bytes that never occur inside a multi-byte UTF-8 sequence, so
+//! the loops test bytes and decode a `char` only at a byte `>= 0x80`.
+//! The char-by-char implementations they replace are kept as the test
+//! oracle in `tests/tokenize_oracle.rs`, which requires identical output.
 
 /// Split text into lowercase word tokens. A token is a maximal run of
 /// alphanumeric characters, apostrophes-in-words ("don't") or hyphens-in-
@@ -20,25 +27,57 @@ pub fn tokenize(text: &str) -> Vec<String> {
 pub(crate) fn tokenize_into(text: &str, buf: &mut String, spans: &mut Vec<(u32, u32)>) {
     buf.clear();
     spans.clear();
+    let bytes = text.as_bytes();
     let mut tok_start: Option<u32> = None;
-    let mut it = text.chars().peekable();
-    while let Some(ch) = it.next() {
-        let joiner = (ch == '\'' || ch == '-')
-            && tok_start.is_some()
-            && it.peek().is_some_and(|c| c.is_alphanumeric());
-        if ch.is_alphanumeric() || joiner {
-            if tok_start.is_none() {
-                tok_start = Some(buf.len() as u32);
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if b.is_ascii_alphanumeric() {
+            // Copy the whole ASCII alphanumeric run, then lowercase it in
+            // place.
+            let run = bytes[i..]
+                .iter()
+                .position(|c| !c.is_ascii_alphanumeric())
+                .map_or(bytes.len(), |n| i + n);
+            let from = buf.len();
+            tok_start.get_or_insert(from as u32);
+            buf.push_str(&text[i..run]);
+            buf[from..].make_ascii_lowercase();
+            i = run;
+        } else if b.is_ascii() {
+            let joiner = (b == b'\'' || b == b'-')
+                && tok_start.is_some()
+                && starts_alphanumeric(&text[i + 1..]);
+            if joiner {
+                buf.push(b as char);
+            } else if let Some(start) = tok_start.take() {
+                spans.push((start, buf.len() as u32));
             }
-            buf.extend(ch.to_lowercase());
-        } else if let Some(start) = tok_start.take() {
-            spans.push((start, buf.len() as u32));
+            i += 1;
+        } else {
+            let ch = text[i..].chars().next().expect("i is a char boundary");
+            if ch.is_alphanumeric() {
+                tok_start.get_or_insert(buf.len() as u32);
+                buf.extend(ch.to_lowercase());
+            } else if let Some(start) = tok_start.take() {
+                spans.push((start, buf.len() as u32));
+            }
+            i += ch.len_utf8();
         }
     }
     if let Some(start) = tok_start {
         spans.push((start, buf.len() as u32));
     }
     osa_obs::global().add("text.tokens", spans.len() as u64);
+}
+
+/// Whether `s` begins with an alphanumeric character.
+fn starts_alphanumeric(s: &str) -> bool {
+    match s.as_bytes().first() {
+        Some(b) if b.is_ascii() => b.is_ascii_alphanumeric(),
+        Some(_) => s.chars().next().is_some_and(char::is_alphanumeric),
+        None => false,
+    }
 }
 
 /// Abbreviations whose trailing period does not end a sentence.
@@ -51,52 +90,59 @@ const ABBREVIATIONS: &[&str] = &[
 /// trimmed, non-empty sentence strings.
 pub fn split_sentences(text: &str) -> Vec<String> {
     let mut sentences = Vec::new();
-    let mut cur = String::new();
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let ch = chars[i];
-        if ch == '\n' || ch == '!' || ch == '?' {
-            if ch != '\n' {
-                cur.push(ch);
-            }
-            flush(&mut cur, &mut sentences);
-        } else if ch == '.' {
-            // Look back at the word preceding the period.
-            let tail: String = cur
-                .chars()
-                .rev()
-                .take_while(|c| c.is_alphanumeric() || *c == '.')
-                .collect::<String>()
-                .chars()
-                .rev()
-                .collect::<String>()
-                .to_lowercase();
-            let is_abbrev = ABBREVIATIONS.contains(&tail.trim_end_matches('.'))
-                || (tail.len() == 1 && tail.chars().all(char::is_alphabetic));
-            let decimal = tail.chars().all(|c| c.is_ascii_digit())
-                && !tail.is_empty()
-                && chars.get(i + 1).is_some_and(char::is_ascii_digit);
-            cur.push('.');
-            if !is_abbrev && !decimal {
-                flush(&mut cur, &mut sentences);
-            }
-        } else {
-            cur.push(ch);
-        }
-        i += 1;
+    let bytes = text.as_bytes();
+    // The current sentence is `text[start..i]`: every char since the last
+    // cut except a newline, which always cuts.
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let end = match b {
+            b'\n' => i,
+            b'!' | b'?' => i + 1,
+            b'.' if !period_continues(&text[start..i], bytes.get(i + 1)) => i + 1,
+            _ => continue,
+        };
+        push_sentence(&text[start..end], &mut sentences);
+        start = i + 1;
     }
-    flush(&mut cur, &mut sentences);
+    push_sentence(&text[start..], &mut sentences);
     sentences
 }
 
-fn flush(cur: &mut String, out: &mut Vec<String>) {
-    let s = cur.trim();
-    // A sentence needs at least one letter to be worth keeping.
+/// Whether a period after `cur` (the current sentence so far) continues
+/// the sentence: it ends an abbreviation, a single-letter initial, or
+/// the integer part of a decimal whose next byte is `next`.
+fn period_continues(cur: &str, next: Option<&u8>) -> bool {
+    // The word before the period: its trailing alphanumerics and periods.
+    let from = cur
+        .char_indices()
+        .rev()
+        .take_while(|&(_, c)| c.is_alphanumeric() || c == '.')
+        .last()
+        .map_or(cur.len(), |(k, _)| k);
+    let tail = &cur[from..];
+    if !tail.is_ascii() {
+        // Lowercasing can change a non-ASCII tail's length and chars, so
+        // compare the exact lowercased form.
+        let lower = tail.to_lowercase();
+        let mut chars = lower.chars();
+        let initial = chars.next().is_some_and(char::is_alphabetic) && chars.next().is_none();
+        return initial || ABBREVIATIONS.contains(&lower.trim_end_matches('.'));
+    }
+    let word = tail.trim_end_matches('.');
+    let is_abbrev = ABBREVIATIONS.iter().any(|a| a.eq_ignore_ascii_case(word))
+        || (tail.len() == 1 && tail.as_bytes()[0].is_ascii_alphabetic());
+    let decimal = !tail.is_empty()
+        && tail.bytes().all(|c| c.is_ascii_digit())
+        && next.is_some_and(u8::is_ascii_digit);
+    is_abbrev || decimal
+}
+
+/// Keep a trimmed sentence that contains at least one letter.
+fn push_sentence(s: &str, out: &mut Vec<String>) {
+    let s = s.trim();
     if s.chars().any(char::is_alphabetic) {
         out.push(s.to_owned());
     }
-    cur.clear();
 }
 
 #[cfg(test)]
@@ -169,5 +215,15 @@ mod tests {
     fn single_initial_is_abbreviation() {
         let s = split_sentences("John F. Kennedy spoke.");
         assert_eq!(s, vec!["John F. Kennedy spoke."]);
+    }
+
+    #[test]
+    fn single_non_ascii_initial_is_abbreviation() {
+        // "É" lowercases to a two-byte char: one char is an initial.
+        let s = split_sentences("Émile É. Zola wrote.");
+        assert_eq!(s, vec!["Émile É. Zola wrote."]);
+        // Two chars before the period are a word, not an initial.
+        let s = split_sentences("Il a dit ÉÉ. Zola wrote.");
+        assert_eq!(s, vec!["Il a dit ÉÉ.", "Zola wrote."]);
     }
 }

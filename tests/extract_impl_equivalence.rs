@@ -1,12 +1,12 @@
 //! Property tests: the interned extraction engine (token interner +
-//! Aho–Corasick concept automatons + memoized stemming) is *identical* —
+//! Aho–Corasick concept automatons + per-item stemming) is *identical* —
 //! pairs, sentences, token pools and bit-level sentiments — to the naive
 //! trie-walk oracle on adversarial review text: non-BMP scalars, terms
 //! sharing multi-token prefixes, empty and whitespace-only sentences.
 
 use std::sync::OnceLock;
 
-use osars::datasets::{ExtractImpl, Extractor, Item, Review, SentimentModel};
+use osars::datasets::{extract_append, ExtractImpl, Extractor, Item, Review, SentimentModel};
 use osars::ontology::{Hierarchy, HierarchyBuilder};
 use osars::text::ExtractScratch;
 use proptest::prelude::*;
@@ -147,6 +147,33 @@ proptest! {
         let naive = ex.extract_with(&item, model, ExtractImpl::Naive, &mut scratch);
         let interned = ex.extract_with(&item, model, ExtractImpl::Interned, &mut scratch);
         assert_identical(&interned, &naive)?;
+    }
+
+    #[test]
+    fn appending_at_a_random_split_equals_a_fresh_extract(
+        reviews in proptest::collection::vec(arb_text(), 1..6),
+        split in 0usize..6,
+    ) {
+        // `extract_append` is the ingest path: the suffix reviews run
+        // through the interned engine resumed from the prefix's token
+        // pool, which must number new words exactly as a fresh extract.
+        let h = term_hierarchy();
+        let ex = Extractor::from_hierarchy(&h);
+        let mut scratch = ExtractScratch::default();
+        let item = Item {
+            name: "append".to_owned(),
+            reviews: reviews
+                .into_iter()
+                .map(|text| Review { text, planted: vec![] })
+                .collect(),
+        };
+        let split = split.min(item.reviews.len());
+        let mut prefix = item.clone();
+        prefix.reviews.truncate(split);
+        let prev = ex.extract(&prefix, ExtractImpl::Interned, &mut scratch);
+        let grown = extract_append(&ex, &prev, &item, split, &mut scratch);
+        let fresh = ex.extract(&item, ExtractImpl::Naive, &mut scratch);
+        assert_identical(&grown, &fresh)?;
     }
 
     #[test]
