@@ -203,63 +203,6 @@ pub fn run_timed(s: &dyn Summarizer, graph: &CoverageGraph, k: usize) -> (Summar
     Stopwatch::time(|| s.summarize(graph, k))
 }
 
-/// The heap-free greedy used by the `bench_ablation_heap` benchmark: it
-/// recomputes every candidate's marginal gain from scratch at each of the
-/// `k` iterations (`O(k · |E|)`), which is exactly what Algorithm 2's
-/// max-heap with two-hop updates avoids.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NaiveGreedy;
-
-impl Summarizer for NaiveGreedy {
-    fn summarize(&self, graph: &CoverageGraph, k: usize) -> Summary {
-        let n = graph.num_candidates();
-        let k = k.min(n);
-        let mut best: Vec<u32> = (0..graph.num_pairs()).map(|q| graph.root_dist(q)).collect();
-        let mut selected = Vec::with_capacity(k);
-        let mut taken = vec![false; n];
-        for _ in 0..k {
-            let mut arg = None;
-            let mut top = 0u64;
-            for (u, &is_taken) in taken.iter().enumerate() {
-                if is_taken {
-                    continue;
-                }
-                let gain: u64 = graph
-                    .covered_by(u)
-                    .iter()
-                    .map(|&(q, d)| {
-                        u64::from(best[q as usize].saturating_sub(d))
-                            * graph.pair_weight(q as usize)
-                    })
-                    .sum();
-                if arg.is_none() || gain > top {
-                    top = gain;
-                    arg = Some(u);
-                }
-            }
-            let Some(u) = arg else { break };
-            taken[u] = true;
-            selected.push(u);
-            for &(q, d) in graph.covered_by(u) {
-                let b = &mut best[q as usize];
-                if d < *b {
-                    *b = d;
-                }
-            }
-        }
-        let cost = best
-            .iter()
-            .enumerate()
-            .map(|(q, &d)| u64::from(d) * graph.pair_weight(q))
-            .sum();
-        Summary { selected, cost }
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy-naive"
-    }
-}
-
 /// Display label of a granularity, matching the paper's plots.
 pub fn granularity_label(g: Granularity) -> &'static str {
     match g {

@@ -4,8 +4,9 @@
 //! that generates scenarios (synthesized review corpora and synthetic
 //! ontology instances), runs each through the full pipeline across every
 //! implementation pair the repo carries — `graph-impl indexed|naive`,
-//! `extract-impl interned|naive`, `jobs 1|3|8`, and the four summarizers
-//! (greedy-eager, greedy-lazy, local-search, exact-on-small) — and
+//! `extract-impl interned|naive`, `jobs 1|3|8`, and the summarizers
+//! (greedy under both names against the [`oracle::EagerGreedy`]
+//! reference, local-search, exact-on-small) — and
 //! asserts byte-identical output for impl twins plus the paper-level
 //! invariants (C(F, P) non-increasing in k, permutation invariance of
 //! pair order, ε-monotone edge sets, heuristic cost ≥ exact cost).
@@ -26,6 +27,7 @@
 #![warn(missing_docs)]
 
 mod differential;
+pub mod oracle;
 mod scenario;
 mod shrink;
 

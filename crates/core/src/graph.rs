@@ -56,16 +56,25 @@ pub enum Granularity {
 /// recorded in [`root_dist`](CoverageGraph::root_dist), so the cost of any
 /// selection is always finite (Definition 2 takes the min over `F ∪ {r}`).
 ///
+/// Both adjacency directions are stored as flat CSR arrays: an offsets
+/// vector plus one contiguous row array, so a graph is six allocations
+/// however many candidates and pairs it has.
+///
 /// Equality compares the full structure (granularity, both adjacency
 /// sides, root distances, weights) — the naive and indexed builders are
 /// property-tested `==`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoverageGraph {
     granularity: Granularity,
-    /// `cand_edges[u]` = sorted `(pair, dist)` covered by candidate `u`.
-    cand_edges: Vec<Vec<(u32, u32)>>,
-    /// Reverse adjacency: `pair_edges[q]` = `(candidate, dist)`.
-    pair_edges: Vec<Vec<(u32, u32)>>,
+    /// CSR offsets: candidate `u` owns `cand_rows[cand_off[u]..cand_off[u + 1]]`.
+    cand_off: Vec<u32>,
+    /// `(pair, dist)` covered per candidate, pairs ascending.
+    cand_rows: Vec<(u32, u32)>,
+    /// CSR offsets: pair `q` owns `pair_rows[pair_off[q]..pair_off[q + 1]]`.
+    pair_off: Vec<u32>,
+    /// Reverse adjacency: `(candidate, dist)` per pair, candidates
+    /// ascending.
+    pair_rows: Vec<(u32, u32)>,
     /// Distance from the virtual root to each pair (= concept depth).
     root_dist: Vec<u32>,
     /// Multiplicity of each pair (1 unless built from compressed pairs).
@@ -638,7 +647,7 @@ impl GraphBuildPlan {
     }
 
     /// Update a cached exact initial-gain vector (one `u64` per
-    /// candidate, as seeded by the lazy greedy heap) across an append:
+    /// candidate, as seeded by the greedy heap) across an append:
     /// subtract the contributions of every re-resolved old row, add the
     /// contributions of its replacement, and add the rows of the new
     /// pairs. Old pairs' root distances and weights are unchanged by an
@@ -963,10 +972,11 @@ impl CoverageGraph {
     }
 
     /// Merge pass-2 shards into the final graph. The shards must tile
-    /// `0..plan.num_pairs()` contiguously in order; because target
-    /// indices then ascend across the walk and are unique per candidate,
-    /// every adjacency list comes out sorted — the exact layout the naive
-    /// builder produces, regardless of how the range was sharded.
+    /// `0..plan.num_pairs()` contiguously in order. Their rows, already
+    /// sorted by candidate, are concatenated into the pair side; the
+    /// candidate side is one counting-sort transpose of it, which scatters
+    /// pairs in ascending order — the exact layout the naive builder
+    /// produces, regardless of how the range was sharded.
     pub fn assemble(
         plan: &GraphBuildPlan,
         granularity: Granularity,
@@ -981,25 +991,22 @@ impl CoverageGraph {
         }
         assert_eq!(expect, n_pairs, "shards must cover every pair");
 
-        let mut cand_edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); plan.n_cands];
+        let n_edges: usize = shards.iter().map(|s| s.edges.len()).sum();
+        assert!(
+            u32::try_from(n_edges).is_ok(),
+            "graph edge count exceeds u32"
+        );
+        let mut pair_off = Vec::with_capacity(n_pairs + 1);
+        pair_off.push(0u32);
+        let mut pair_rows = Vec::with_capacity(n_edges);
         let mut window_hits = 0u64;
-        let mut n_edges = 0u64;
         for s in shards {
             window_hits += s.window_hits;
-            n_edges += s.edges.len() as u64;
-            for li in 0..s.len() {
-                let qi = (s.start + li) as u32;
-                for &(u, d) in &s.edges[s.pair_off[li] as usize..s.pair_off[li + 1] as usize] {
-                    cand_edges[u as usize].push((qi, d));
-                }
-            }
+            let base = pair_rows.len() as u32;
+            pair_off.extend(s.pair_off[1..].iter().map(|&o| base + o));
+            pair_rows.extend_from_slice(&s.edges);
         }
-        let mut pair_edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_pairs];
-        for (u, edges) in cand_edges.iter().enumerate() {
-            for &(q, d) in edges {
-                pair_edges[q as usize].push((u as u32, d));
-            }
-        }
+        let (cand_off, cand_rows) = transpose(plan.n_cands, &pair_off, &pair_rows);
 
         let pair_weight = match weights {
             Some(w) => {
@@ -1010,14 +1017,16 @@ impl CoverageGraph {
         };
         let obs = osa_obs::global();
         obs.add("graph.builds", 1);
-        obs.add("graph.edges", n_edges);
+        obs.add("graph.edges", n_edges as u64);
         obs.add("graph.closure.entries", plan.closure_entries);
         obs.add("graph.window.hits", window_hits);
         obs.add("graph.sharded_items", n_pairs as u64);
         CoverageGraph {
             granularity,
-            cand_edges,
-            pair_edges,
+            cand_off,
+            cand_rows,
+            pair_off,
+            pair_rows,
             root_dist: plan.root_dist.clone(),
             pair_weight,
         }
@@ -1103,15 +1112,15 @@ impl CoverageGraph {
                 cand_edges[u as usize].push((qi as u32, d));
             }
         }
-        for e in &mut cand_edges {
+        let mut cand_off = Vec::with_capacity(n_cands + 1);
+        cand_off.push(0u32);
+        let mut cand_rows = Vec::new();
+        for mut e in cand_edges {
             e.sort_unstable();
+            cand_rows.extend_from_slice(&e);
+            cand_off.push(u32::try_from(cand_rows.len()).expect("graph edge count exceeds u32"));
         }
-        let mut pair_edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_pairs];
-        for (u, edges) in cand_edges.iter().enumerate() {
-            for &(q, d) in edges {
-                pair_edges[q as usize].push((u as u32, d));
-            }
-        }
+        let (pair_off, pair_rows) = transpose(n_pairs, &cand_off, &cand_rows);
 
         let pair_weight = match weights {
             Some(w) => w.to_vec(),
@@ -1119,14 +1128,13 @@ impl CoverageGraph {
         };
         let obs = osa_obs::global();
         obs.add("graph.builds", 1);
-        obs.add(
-            "graph.edges",
-            cand_edges.iter().map(|e| e.len() as u64).sum(),
-        );
+        obs.add("graph.edges", cand_rows.len() as u64);
         CoverageGraph {
             granularity,
-            cand_edges,
-            pair_edges,
+            cand_off,
+            cand_rows,
+            pair_off,
+            pair_rows,
             root_dist,
             pair_weight,
         }
@@ -1139,7 +1147,7 @@ impl CoverageGraph {
 
     /// Number of selection candidates `|U|`.
     pub fn num_candidates(&self) -> usize {
-        self.cand_edges.len()
+        self.cand_off.len() - 1
     }
 
     /// Number of coverage targets `|W|`.
@@ -1149,17 +1157,19 @@ impl CoverageGraph {
 
     /// Number of coverage edges `|E|` (excluding the implicit root edges).
     pub fn num_edges(&self) -> usize {
-        self.cand_edges.iter().map(Vec::len).sum()
+        self.cand_rows.len()
     }
 
     /// Pairs covered by candidate `u`, with distances.
+    #[inline]
     pub fn covered_by(&self, u: usize) -> &[(u32, u32)] {
-        &self.cand_edges[u]
+        &self.cand_rows[self.cand_off[u] as usize..self.cand_off[u + 1] as usize]
     }
 
     /// Candidates covering pair `q`, with distances.
+    #[inline]
     pub fn coverers_of(&self, q: usize) -> &[(u32, u32)] {
-        &self.pair_edges[q]
+        &self.pair_rows[self.pair_off[q] as usize..self.pair_off[q + 1] as usize]
     }
 
     /// Distance from the virtual root to pair `q`.
@@ -1185,7 +1195,7 @@ impl CoverageGraph {
     pub fn cost_of(&self, selected: &[usize]) -> u64 {
         let mut best = self.root_dist.clone();
         for &u in selected {
-            for &(q, d) in &self.cand_edges[u] {
+            for &(q, d) in self.covered_by(u) {
                 let b = &mut best[q as usize];
                 if d < *b {
                     *b = d;
@@ -1211,7 +1221,7 @@ impl CoverageGraph {
         out.clear();
         out.extend_from_slice(&self.root_dist);
         for &u in selected {
-            for &(q, d) in &self.cand_edges[u] {
+            for &(q, d) in self.covered_by(u) {
                 let b = &mut out[q as usize];
                 if d < *b {
                     *b = d;
@@ -1219,6 +1229,30 @@ impl CoverageGraph {
             }
         }
     }
+}
+
+/// Transpose a CSR adjacency by counting sort: count each column, prefix
+/// sum the counts into offsets, then scatter the rows in order. Because
+/// rows are scattered in ascending row order, every output row lists its
+/// entries ascending — no sort needed. `n_cols` is the output row count.
+fn transpose(n_cols: usize, off: &[u32], rows: &[(u32, u32)]) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let mut t_off = vec![0u32; n_cols + 1];
+    for &(c, _) in rows {
+        t_off[c as usize + 1] += 1;
+    }
+    for i in 0..n_cols {
+        t_off[i + 1] += t_off[i];
+    }
+    let mut cursor = t_off[..n_cols].to_vec();
+    let mut t_rows = vec![(0u32, 0u32); rows.len()];
+    for (r, w) in off.windows(2).enumerate() {
+        for &(c, d) in &rows[w[0] as usize..w[1] as usize] {
+            let slot = &mut cursor[c as usize];
+            t_rows[*slot as usize] = (r as u32, d);
+            *slot += 1;
+        }
+    }
+    (t_off, t_rows)
 }
 
 #[cfg(test)]
@@ -1415,12 +1449,12 @@ mod tests {
         eps: f64,
         granularity: Granularity,
     ) {
-        use crate::LazyGreedySummarizer;
+        use crate::GreedySummarizer;
         let mut scratch = GraphBuildScratch::new();
         let plan0 = GraphBuildPlan::new(h, base_pairs, base_groups, eps);
         let shard0 = plan0.shard(h, base_pairs, 0..base_pairs.len(), &mut scratch);
         let g0 = CoverageGraph::assemble(&plan0, granularity, None, std::slice::from_ref(&shard0));
-        let keys0 = LazyGreedySummarizer::initial_keys(&g0);
+        let keys0 = GreedySummarizer::initial_keys(&g0);
 
         let (plan1, delta) = plan0.append(h, pairs, groups);
         let (shard1, recomputed) = plan1.shard_append(h, pairs, &shard0, &delta, &mut scratch);
@@ -1436,7 +1470,7 @@ mod tests {
         let keys1 = plan1.warm_keys(&keys0, &shard0, &shard1, &recomputed, &delta, None);
         assert_eq!(
             keys1,
-            LazyGreedySummarizer::initial_keys(&fresh),
+            GreedySummarizer::initial_keys(&fresh),
             "warm keys must match a cold recompute (eps={eps})"
         );
     }
@@ -1499,7 +1533,7 @@ mod tests {
         let mut scratch = GraphBuildScratch::new();
         let mut plan = GraphBuildPlan::new(&h, &pairs, None, 0.5);
         let mut shard = plan.shard(&h, &pairs, 0..pairs.len(), &mut scratch);
-        let mut keys = crate::LazyGreedySummarizer::initial_keys(&CoverageGraph::assemble(
+        let mut keys = crate::GreedySummarizer::initial_keys(&CoverageGraph::assemble(
             &plan,
             Granularity::Pairs,
             None,
@@ -1527,7 +1561,7 @@ mod tests {
             keys = next_plan.warm_keys(&keys, &shard, &next_shard, &recomputed, &delta, None);
             assert_eq!(
                 keys,
-                crate::LazyGreedySummarizer::initial_keys(&fresh),
+                crate::GreedySummarizer::initial_keys(&fresh),
                 "step {step}"
             );
             plan = next_plan;
@@ -1567,6 +1601,40 @@ mod tests {
             let merged = CoverageGraph::assemble(&plan, Granularity::Pairs, None, &[s1, s2]);
             assert_eq!(whole, merged, "cut={cut}");
         }
+    }
+
+    #[test]
+    fn csr_assembly_matches_naive_with_empty_rows() {
+        let (h, ids) = dag();
+        let pairs = dag_pairs(&ids);
+        // Candidate 1 has no members, so it covers no pair; pair 9 is in
+        // no group, no group has a root member, and no member's ε-window
+        // reaches pair 9 at ε = 0, so no candidate covers it.
+        let groups = vec![vec![4], vec![], vec![2, 3], vec![6, 7], vec![8, 1]];
+        let eps = 0.0;
+        let naive = CoverageGraph::for_groups_naive(&h, &pairs, &groups, eps, Granularity::Reviews);
+        assert!(naive.covered_by(1).is_empty());
+        assert!(naive.coverers_of(9).is_empty());
+
+        let plan = GraphBuildPlan::new(&h, &pairs, Some(&groups), eps);
+        let mut scratch = GraphBuildScratch::new();
+        let whole = plan.shard(&h, &pairs, 0..pairs.len(), &mut scratch);
+        let single = CoverageGraph::assemble(&plan, Granularity::Reviews, None, &[whole]);
+        let shards: Vec<GraphShard> = [0..3, 3..3, 3..7, 7..pairs.len()]
+            .into_iter()
+            .map(|r| plan.shard(&h, &pairs, r, &mut scratch))
+            .collect();
+        let multi = CoverageGraph::assemble(&plan, Granularity::Reviews, None, &shards);
+        assert_eq!(single, naive);
+        assert_eq!(multi, naive);
+        assert_eq!(
+            multi.num_edges(),
+            (0..5).map(|u| multi.covered_by(u).len()).sum()
+        );
+        assert_eq!(
+            multi.num_edges(),
+            (0..pairs.len()).map(|q| multi.coverers_of(q).len()).sum()
+        );
     }
 
     #[test]

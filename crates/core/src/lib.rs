@@ -20,16 +20,17 @@
 //!
 //! Algorithms (all implementing [`Summarizer`]):
 //!
-//! * [`GreedySummarizer`] — Algorithm 2: max-heap greedy with two-hop key
-//!   updates; Wolsey's submodular-cover guarantee,
+//! * [`GreedySummarizer`] — Algorithm 2, run with CELF lazy evaluation
+//!   (selections identical to the eager two-hop heap, which `osa-check`
+//!   keeps as its oracle); Wolsey's submodular-cover guarantee,
 //! * [`IlpSummarizer`] — the Section 4.2 k-medians-style ILP, solved
 //!   exactly by `osa-solver`'s branch & bound,
 //! * [`RandomizedRounding`] — Algorithm 1: LP relaxation + weighted
 //!   sampling without replacement,
 //! * [`ExactBruteForce`] — exhaustive search for small instances (test
 //!   oracle),
-//! * [`LazyGreedySummarizer`] — a CELF-style lazy variant used by the
-//!   ablation benchmarks,
+//! * [`LazyGreedySummarizer`] — the same engine under its historical
+//!   "lazy" name,
 //! * [`LocalSearchSummarizer`] — single-swap k-median local search on top
 //!   of greedy (an extension beyond the paper's three algorithms).
 //!
@@ -64,7 +65,6 @@ mod exact;
 pub mod explain;
 mod graph;
 mod greedy;
-mod heap;
 mod ilp;
 mod local_search;
 mod pair;

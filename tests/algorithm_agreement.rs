@@ -234,8 +234,8 @@ fn regression_chain_nine_pairs_k4() {
         assert!(summary.cost >= exact.cost, "{name} below optimum");
         assert!(summary.cost <= g.root_cost(), "{name} above root cost");
         // The strongest bookkeeping check: each step must be an exact
-        // argmax under true marginal gains. A two-hop decrease_key bug
-        // in the indexed heap would break this before anything else.
+        // argmax under true marginal gains. A stale-key bug in the
+        // greedy heap would break this before anything else.
         let mut sel: Vec<usize> = Vec::new();
         for &u in &summary.selected {
             let before = g.cost_of(&sel);
