@@ -380,7 +380,7 @@ fn chk_fault_isolation(s: &Scenario) -> Result<(), String> {
         let predicted: Vec<usize> = (0..c.items.len())
             .filter(|&i| match plan.fault_for(i) {
                 Fault::Panic { failing_attempts } => failing_attempts == u32::MAX,
-                Fault::NanSentiment { .. } => clean.results[i].num_pairs > 0,
+                Fault::NanSentiment => clean.results[i].num_pairs > 0,
                 _ => false,
             })
             .collect();

@@ -646,13 +646,34 @@ impl GraphBuildPlan {
         )
     }
 
-    /// Update a cached exact initial-gain vector (one `u64` per
-    /// candidate, as seeded by the greedy heap) across an append:
+    /// The exact greedy initial-gain vector (one `u64` per candidate,
+    /// what [`GreedySummarizer::initial_keys`](crate::GreedySummarizer::initial_keys)
+    /// computes from the assembled graph), scattered straight from the
+    /// full-range `shard`'s pair rows, so no graph is assembled for it.
+    /// Candidates without coverage edges keep key 0.
+    ///
+    /// `weights` must match what the graph is assembled with (`None` =
+    /// unit weights).
+    pub fn initial_keys(&self, shard: &GraphShard, weights: Option<&[u64]>) -> Vec<u64> {
+        assert_eq!(shard.start, 0, "shard must be full-range");
+        assert_eq!(
+            shard.len(),
+            self.root_dist.len(),
+            "shard must be full-range"
+        );
+        let mut keys = vec![0; self.n_cands];
+        for q in 0..shard.len() {
+            self.row_gains(shard, q, weights, |u, g| keys[u] += g);
+        }
+        keys
+    }
+
+    /// Update a cached exact initial-gain vector across an append:
     /// subtract the contributions of every re-resolved old row, add the
     /// contributions of its replacement, and add the rows of the new
     /// pairs. Old pairs' root distances and weights are unchanged by an
-    /// append, so the result is byte-identical to recomputing the keys
-    /// from the assembled successor graph.
+    /// append, so the result is byte-identical to
+    /// [`initial_keys`](Self::initial_keys) of the successor shard.
     ///
     /// `weights` must match what the graph is assembled with (`None` =
     /// unit weights).
@@ -671,28 +692,35 @@ impl GraphBuildPlan {
             "one key per old candidate"
         );
         assert_eq!(next.len(), self.root_dist.len(), "next must be full-range");
-        let weight = |q: usize| weights.map_or(1, |w| w[q]);
         let mut keys = prev_keys.to_vec();
         keys.resize(self.n_cands, 0);
         for &qi in recomputed {
             let q = qi as usize;
-            let rd = self.root_dist[q];
-            let w = weight(q);
-            for &(u, d) in prev.row(q) {
-                keys[u as usize] -= u64::from(rd.saturating_sub(d)) * w;
-            }
-            for &(u, d) in next.row(q) {
-                keys[u as usize] += u64::from(rd.saturating_sub(d)) * w;
-            }
+            self.row_gains(prev, q, weights, |u, g| keys[u] -= g);
+            self.row_gains(next, q, weights, |u, g| keys[u] += g);
         }
         for q in delta.prev_pairs..self.root_dist.len() {
-            let rd = self.root_dist[q];
-            let w = weight(q);
-            for &(u, d) in next.row(q) {
-                keys[u as usize] += u64::from(rd.saturating_sub(d)) * w;
-            }
+            self.row_gains(next, q, weights, |u, g| keys[u] += g);
         }
         keys
+    }
+
+    /// Hand `f` each `(candidate, gain)` contribution of pair `q`'s row in
+    /// the full-range `shard`: `(root_dist(q) − d) · w(q)` per edge. The
+    /// one gain rule both [`initial_keys`](Self::initial_keys) and
+    /// [`warm_keys`](Self::warm_keys) scatter.
+    fn row_gains(
+        &self,
+        shard: &GraphShard,
+        q: usize,
+        weights: Option<&[u64]>,
+        mut f: impl FnMut(usize, u64),
+    ) {
+        let rd = self.root_dist[q];
+        let w = weights.map_or(1, |w| w[q]);
+        for &(u, d) in shard.row(q) {
+            f(u as usize, u64::from(rd.saturating_sub(d)) * w);
+        }
     }
 }
 
@@ -1438,8 +1466,11 @@ mod tests {
     }
 
     /// Assemble the full graph through the incremental append path and
-    /// through a fresh build, plus the warm-started gain keys, and demand
-    /// byte-identity of both.
+    /// through a fresh build, plus the gain keys three ways (warm-started
+    /// across the append, scattered from the shard, recomputed from the
+    /// assembled graph), and demand byte-identity of each. `weights`
+    /// covers `pairs`; the base instance weighs its prefix.
+    #[allow(clippy::too_many_arguments)]
     fn assert_append_matches_fresh(
         h: &Hierarchy,
         base_pairs: &[Pair],
@@ -1448,31 +1479,54 @@ mod tests {
         groups: Option<&[Vec<usize>]>,
         eps: f64,
         granularity: Granularity,
+        weights: Option<&[u64]>,
     ) {
         use crate::GreedySummarizer;
+        let base_weights = weights.map(|w| &w[..base_pairs.len()]);
         let mut scratch = GraphBuildScratch::new();
         let plan0 = GraphBuildPlan::new(h, base_pairs, base_groups, eps);
         let shard0 = plan0.shard(h, base_pairs, 0..base_pairs.len(), &mut scratch);
-        let g0 = CoverageGraph::assemble(&plan0, granularity, None, std::slice::from_ref(&shard0));
+        let g0 = CoverageGraph::assemble(
+            &plan0,
+            granularity,
+            base_weights,
+            std::slice::from_ref(&shard0),
+        );
         let keys0 = GreedySummarizer::initial_keys(&g0);
+        assert_eq!(
+            plan0.initial_keys(&shard0, base_weights),
+            keys0,
+            "eps={eps}"
+        );
 
         let (plan1, delta) = plan0.append(h, pairs, groups);
         let (shard1, recomputed) = plan1.shard_append(h, pairs, &shard0, &delta, &mut scratch);
         let incremental =
-            CoverageGraph::assemble(&plan1, granularity, None, std::slice::from_ref(&shard1));
+            CoverageGraph::assemble(&plan1, granularity, weights, std::slice::from_ref(&shard1));
 
         let fresh_plan = GraphBuildPlan::new(h, pairs, groups, eps);
         assert_eq!(plan1.bucket_count(), fresh_plan.bucket_count());
         let fresh_shard = fresh_plan.shard(h, pairs, 0..pairs.len(), &mut scratch);
-        let fresh = CoverageGraph::assemble(&fresh_plan, granularity, None, &[fresh_shard]);
+        let fresh = CoverageGraph::assemble(
+            &fresh_plan,
+            granularity,
+            weights,
+            std::slice::from_ref(&fresh_shard),
+        );
         assert_eq!(incremental, fresh, "eps={eps} {granularity:?}");
 
-        let keys1 = plan1.warm_keys(&keys0, &shard0, &shard1, &recomputed, &delta, None);
+        let cold = GreedySummarizer::initial_keys(&fresh);
+        let keys1 = plan1.warm_keys(&keys0, &shard0, &shard1, &recomputed, &delta, weights);
         assert_eq!(
-            keys1,
-            GreedySummarizer::initial_keys(&fresh),
+            keys1, cold,
             "warm keys must match a cold recompute (eps={eps})"
         );
+        assert_eq!(
+            fresh_plan.initial_keys(&fresh_shard, weights),
+            cold,
+            "shard keys must match a cold recompute (eps={eps})"
+        );
+        assert_eq!(plan1.initial_keys(&shard1, weights), cold, "eps={eps}");
     }
 
     #[test]
@@ -1485,8 +1539,20 @@ mod tests {
         ext.push(Pair::new(ids[3], 0.5));
         ext.push(Pair::new(ids[4], -0.2));
         ext.push(Pair::new(ids[1], 1.0));
+        let weights: Vec<u64> = (0..ext.len() as u64).map(|q| q % 3 + 1).collect();
         for eps in [0.0, 0.2, 0.5, 1.0] {
-            assert_append_matches_fresh(&h, &base, &ext, None, None, eps, Granularity::Pairs);
+            for w in [None, Some(weights.as_slice())] {
+                assert_append_matches_fresh(
+                    &h,
+                    &base,
+                    &ext,
+                    None,
+                    None,
+                    eps,
+                    Granularity::Pairs,
+                    w,
+                );
+            }
         }
     }
 
@@ -1496,20 +1562,22 @@ mod tests {
         let base = dag_pairs(&ids);
         let mut ext = base.clone();
         ext.push(Pair::new(ids[0], 0.1)); // ids[0] is the root
-        assert_append_matches_fresh(&h, &base, &ext, None, None, 0.5, Granularity::Pairs);
+        assert_append_matches_fresh(&h, &base, &ext, None, None, 0.5, Granularity::Pairs, None);
     }
 
     #[test]
     fn append_matches_fresh_build_for_groups() {
         let (h, ids) = dag();
         let base_pairs = dag_pairs(&ids);
-        let base_groups = vec![vec![0, 1, 2], vec![3, 4], vec![5, 6, 7, 8, 9]];
+        // Candidate 1 has no members: its key stays 0 on every path.
+        let base_groups = vec![vec![0, 1, 2], vec![], vec![3, 4], vec![5, 6, 7, 8, 9]];
         let mut pairs = base_pairs.clone();
         pairs.push(Pair::new(ids[2], 0.3));
         pairs.push(Pair::new(ids[4], -0.5));
         pairs.push(Pair::new(ids[3], 0.8));
         let mut groups = base_groups.clone();
         groups.push(vec![10, 11]);
+        groups.push(vec![]);
         groups.push(vec![12]);
         for gran in [Granularity::Sentences, Granularity::Reviews] {
             assert_append_matches_fresh(
@@ -1520,6 +1588,7 @@ mod tests {
                 Some(&groups),
                 0.3,
                 gran,
+                None,
             );
         }
     }
@@ -1562,6 +1631,11 @@ mod tests {
             assert_eq!(
                 keys,
                 crate::GreedySummarizer::initial_keys(&fresh),
+                "step {step}"
+            );
+            assert_eq!(
+                next_plan.initial_keys(&next_shard, None),
+                keys,
                 "step {step}"
             );
             plan = next_plan;

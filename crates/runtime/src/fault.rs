@@ -28,12 +28,10 @@ pub struct FaultPlan {
     pub transient_panic_rate: f64,
     /// Probability an item panics on every attempt (permanent failure).
     pub sticky_panic_rate: f64,
-    /// Probability one extracted pair's sentiment is corrupted to NaN.
-    /// The corruption bypasses [`osa_core::Pair::new`]'s sanitization;
-    /// the pipeline detects the poisoned pair right after extraction
-    /// and raises a typed [`InjectedPanic`] — a permanent, detected
-    /// failure (the graph builder's own NaN guard remains as
-    /// defense-in-depth, unit-tested in `osa-core`).
+    /// Probability the item's extraction counts as NaN-poisoned: an
+    /// item with at least one pair then fails every attempt with a typed
+    /// [`InjectedPanic`] (see [`Fault::apply`]). The graph builders' own
+    /// NaN guard is unit-tested in `osa-core`.
     pub nan_rate: f64,
     /// Probability the item's work is delayed before running. Delays
     /// perturb scheduling only; results must not change.
@@ -73,7 +71,7 @@ impl FaultPlan {
     pub fn fault_for(&self, item: usize) -> Fault {
         let r = item_seed(self.seed, item as u64);
         let u = unit(r);
-        // A second, independent draw parameterizes the chosen fault.
+        // A second, independent draw sizes an injected delay.
         let param = item_seed(r, 0xFA);
         let mut edge = self.transient_panic_rate;
         if u < edge {
@@ -89,7 +87,7 @@ impl FaultPlan {
         }
         edge += self.nan_rate;
         if u < edge {
-            return Fault::NanSentiment { slot: param };
+            return Fault::NanSentiment;
         }
         edge += self.delay_rate;
         if u < edge {
@@ -102,23 +100,37 @@ impl FaultPlan {
 }
 
 impl Fault {
-    /// Apply the sentiment-corruption part of this fault to an item's
-    /// extracted pairs: [`Fault::NanSentiment`] poisons exactly one
-    /// pair's sentiment (field-level write, deliberately bypassing
-    /// [`osa_core::Pair::new`]'s sanitization so the graph builder's NaN
-    /// guard is what catches it); every other variant is a no-op here.
+    /// Run `work` as attempt `attempt` of batch item `item` under this
+    /// fault — the wrapper the batch engine puts around its work closure:
     ///
-    /// This is the single slot-mapping implementation shared by the
-    /// batch and serve paths, total over all pair counts:
-    /// zero pairs → untouched (no modulo-by-zero), one pair → that pair,
-    /// `n` pairs → pair `slot % n`.
-    pub fn apply_to_pairs(&self, pairs: &mut [osa_core::Pair]) {
-        if let Fault::NanSentiment { slot } = *self {
-            let n = pairs.len() as u64;
-            if n > 0 {
-                pairs[(slot % n) as usize].sentiment = f64::NAN;
+    /// * [`Fault::Panic`] raises an [`InjectedPanic`] instead of running
+    ///   `work` while `attempt < failing_attempts`;
+    /// * [`Fault::Delay`] sleeps, then runs `work`;
+    /// * [`Fault::NanSentiment`] runs `work`, then raises an
+    ///   [`InjectedPanic`] if `has_pairs` says the result came from an
+    ///   item with at least one extracted pair (a poisoned pair is a
+    ///   permanent failure; an item without pairs has nothing to
+    ///   poison);
+    /// * [`Fault::None`] just runs `work`.
+    pub fn apply<R>(
+        self,
+        item: usize,
+        attempt: u32,
+        work: impl FnOnce() -> R,
+        has_pairs: impl FnOnce(&R) -> bool,
+    ) -> R {
+        match self {
+            Fault::Panic { failing_attempts } if attempt < failing_attempts => {
+                injected_panic(format!("injected panic (item {item}, attempt {attempt})"))
             }
+            Fault::Delay { micros } => std::thread::sleep(std::time::Duration::from_micros(micros)),
+            _ => {}
         }
+        let out = work();
+        if self == Fault::NanSentiment && has_pairs(&out) {
+            injected_panic(format!("injected NaN sentiments (item {item})"));
+        }
+        out
     }
 }
 
@@ -133,12 +145,9 @@ pub enum Fault {
         /// Number of leading attempts that panic.
         failing_attempts: u32,
     },
-    /// Corrupt the sentiment of extracted pair `slot % num_pairs` to
-    /// NaN after extraction (no-op on items with no pairs).
-    NanSentiment {
-        /// Raw slot selector, reduced modulo the item's pair count.
-        slot: u64,
-    },
+    /// A NaN-corrupted extracted sentiment: a permanent failure of every
+    /// item that has pairs (no-op on items without).
+    NanSentiment,
     /// Sleep for `micros` before doing the work.
     Delay {
         /// Injected delay in microseconds.
@@ -225,9 +234,7 @@ mod tests {
                 failing_attempts: u32::MAX
             }
         )));
-        assert!(faults
-            .iter()
-            .any(|f| matches!(f, Fault::NanSentiment { .. })));
+        assert!(faults.contains(&Fault::NanSentiment));
         assert!(faults.iter().any(|f| matches!(f, Fault::Delay { .. })));
     }
 
@@ -238,41 +245,23 @@ mod tests {
     }
 
     #[test]
-    fn nan_slot_mapping_is_total_over_pair_counts() {
-        use osa_core::Pair;
-        use osa_ontology::NodeId;
-        let fault = Fault::NanSentiment { slot: u64::MAX };
-        // Zero pairs: must be a no-op, not a modulo-by-zero.
-        let mut none: Vec<Pair> = Vec::new();
-        fault.apply_to_pairs(&mut none);
-        assert!(none.is_empty());
-        // One pair: the only slot is poisoned whatever the selector is.
-        let mut one = vec![Pair::new(NodeId::from_index(0), 0.5)];
-        fault.apply_to_pairs(&mut one);
-        assert!(one[0].sentiment.is_nan());
-        // Many pairs: exactly `slot % n` is poisoned, the rest untouched.
-        for slot in [0u64, 1, 2, 7, u64::MAX] {
-            let mut many: Vec<Pair> = (0..5)
-                .map(|i| Pair::new(NodeId::from_index(i), 0.25))
-                .collect();
-            Fault::NanSentiment { slot }.apply_to_pairs(&mut many);
-            let hit = (slot % 5) as usize;
-            for (i, p) in many.iter().enumerate() {
-                assert_eq!(p.sentiment.is_nan(), i == hit, "slot {slot} pair {i}");
-            }
-        }
-        // Non-NaN faults leave pairs alone.
-        let mut pairs = vec![Pair::new(NodeId::from_index(0), 0.5)];
+    fn nan_faults_fail_only_items_with_pairs() {
+        quiet_injected_panics();
+        let run = |fault: Fault, pairs: usize| {
+            std::panic::catch_unwind(|| fault.apply(0, 0, || pairs, |&n| n > 0))
+        };
+        assert!(run(Fault::NanSentiment, 3).is_err());
+        assert_eq!(run(Fault::NanSentiment, 0).ok(), Some(0));
+        // Every other fault leaves a completed result alone.
         for f in [
             Fault::None,
             Fault::Panic {
-                failing_attempts: 1,
+                failing_attempts: 0,
             },
             Fault::Delay { micros: 10 },
         ] {
-            f.apply_to_pairs(&mut pairs);
+            assert_eq!(run(f, 3).ok(), Some(3), "{f:?}");
         }
-        assert_eq!(pairs[0].sentiment, 0.5);
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! Per-item incremental pipeline artifacts — the runtime layer of
-//! "`POST /reviews` without the full rebuild".
+//! The per-item pipeline — extract → coverage graph → solve — and the
+//! artifacts it caches so `POST /reviews` needs no full rebuild.
 //!
-//! An [`ItemArtifacts`] caches, for one corpus item, everything the
-//! per-item pipeline computes that can be **extended** instead of
-//! rebuilt when reviews are appended (or truncated when trailing
-//! reviews are retracted):
+//! [`ItemArtifacts`] is the only implementation of the pipeline: the
+//! batch ([`summarize_corpus`](crate::summarize_corpus),
+//! [`summarize_one`](crate::summarize_one)), the serve daemon and ingest
+//! all run [`ItemArtifacts::from_extracted`] (or
+//! [`build`](ItemArtifacts::build), which extracts first) and
+//! [`ItemArtifacts::summarize`]. For one corpus item it caches everything
+//! that can be **extended** instead of rebuilt when reviews are appended
+//! (or truncated when trailing reviews are retracted):
 //!
 //! * the interned extraction ([`ExtractedItem`]) — an append
 //!   re-extracts only the new reviews
@@ -14,8 +18,10 @@
 //!   re-resolves only the rows whose ancestor closure touches a grown
 //!   bucket ([`GraphBuildPlan::append`] /
 //!   [`GraphBuildPlan::shard_append`]),
-//! * the exact greedy initial-gain vector — maintained by exact
-//!   subtract/add arithmetic over the recomputed rows
+//! * the exact greedy initial-gain vector — scattered from the shard's
+//!   pair rows on a fresh build ([`GraphBuildPlan::initial_keys`], no
+//!   graph assembled) and maintained by exact subtract/add arithmetic
+//!   over the recomputed rows across an append
 //!   ([`GraphBuildPlan::warm_keys`]), so
 //!   [`GreedySummarizer::summarize_seeded`] warm-starts the greedy heap
 //!   (under either algorithm name) and still selects byte-identically to
@@ -24,11 +30,12 @@
 //! Every update path is **byte-identical** to rebuilding from scratch —
 //! the property the `osa-check --edits` differential oracle enforces
 //! over seeded random edit scripts. Graph artifacts are kept for the
-//! indexed builder at sentence/review granularity (the serving
-//! default); every other `(granularity, graph-impl)` signature falls
-//! back to a fresh graph build from the cached extraction, which is
-//! still sublinear in corpus size because only the edited item is
-//! touched.
+//! indexed builder at sentence/review granularity; every other
+//! `(granularity, graph-impl)` signature falls back to a fresh graph
+//! build from the cached extraction, which is still sublinear in corpus
+//! size because only the edited item is touched. That fallback (the
+//! naive builder, solved cold) is the reference the cached path is
+//! tested against.
 
 use osa_core::{
     CoverageGraph, Granularity, GraphBuildPlan, GraphImpl, GraphShard, GreedySummarizer,
@@ -147,9 +154,7 @@ impl ItemArtifacts {
             0..ex.pairs.len(),
             &mut scratch.graph_build,
         );
-        let graph =
-            CoverageGraph::assemble(&plan, opts.granularity, None, std::slice::from_ref(&shard));
-        let keys = GreedySummarizer::initial_keys(&graph);
+        let keys = plan.initial_keys(&shard, None);
         Some(GraphArtifacts {
             eps: opts.eps,
             granularity: opts.granularity,
@@ -222,13 +227,19 @@ impl ItemArtifacts {
         }
     }
 
-    /// Summarize `item` from the cached artifacts. Byte-identical to
-    /// [`summarize_one`](crate::summarize_one) with [`Fault::None`]
-    /// (`crate::Fault::None`) for the same `(hierarchy, opts)`: the
-    /// cached extraction is the full extraction, the assembled graph
-    /// equals a fresh build, and a warm-started greedy selects
-    /// exactly what a cold one does. Signatures without cached graph
-    /// artifacts rebuild the graph from the cached extraction.
+    /// Summarize `item` from the cached artifacts: the `graph.build` and
+    /// solve stages of the per-item pipeline, timed in the registry and,
+    /// when `trace` is given, recorded as spans under whatever span the
+    /// caller has open. The caller owns the `extract` stage (running the
+    /// extractor, or looking the artifacts up); the extraction's sizes are
+    /// counted on the caller's open span.
+    ///
+    /// With cached graph artifacts the graph is assembled from the
+    /// cached plan and shard and greedy warm-starts from the cached keys;
+    /// every other signature rebuilds the graph from the cached
+    /// extraction ([`item_graph`]) and solves cold. Both select exactly
+    /// what a cold build of the same extraction does — the naive-graph
+    /// axis of the tests and `osars check` holds the two paths together.
     pub fn summarize(
         &self,
         hierarchy: &Hierarchy,
@@ -245,27 +256,18 @@ impl ItemArtifacts {
         );
         let obs = osa_obs::global();
         let ex = &self.extracted;
-        // The same stage spans/timers the batch pipeline records, so
-        // traces and `Server-Timing` keep their shape when a request is
-        // answered from artifacts. "extract" measures the cache hit —
-        // near zero here by design; the real extraction cost was paid
-        // once in `build`/`update`.
-        {
-            let _tspan = trace.map(|t| t.span("extract"));
-            let _ = obs.time("extract", || {
-                if opts.granularity == Granularity::Pairs {
-                    let _ = scratch.compress_into(&ex.pairs);
-                }
-            });
-            if let Some(t) = trace {
-                t.count("extract.pairs", ex.pairs.len() as u64);
-                t.count("extract.sentences", ex.sentences.len() as u64);
-            }
+        if let Some(t) = trace {
+            t.count("extract.pairs", ex.pairs.len() as u64);
+            t.count("extract.sentences", ex.sentences.len() as u64);
         }
         let cached = self.graph.as_ref().filter(|g| g.matches(opts));
-        let graph = {
-            let _tspan = trace.map(|t| t.span("graph.build"));
-            let (graph, _us) = obs.time("graph.build", || match (&cached, graph_eligible(opts)) {
+        let (graph, _us) = obs.time_traced("graph.build", trace, || {
+            if opts.granularity == Granularity::Pairs {
+                // Stage the compressed pairs `item_graph` builds over
+                // (and the rendering reads).
+                let _ = scratch.compress_into(&ex.pairs);
+            }
+            let graph = match (&cached, graph_eligible(opts)) {
                 (Some(g), true) => CoverageGraph::assemble(
                     &g.plan,
                     opts.granularity,
@@ -273,28 +275,24 @@ impl ItemArtifacts {
                     std::slice::from_ref(&g.shard),
                 ),
                 _ => item_graph(hierarchy, ex, opts, scratch),
-            });
+            };
             if let Some(t) = trace {
                 t.count("graph.candidates", graph.num_candidates() as u64);
                 t.count("graph.pairs", graph.num_pairs() as u64);
             }
             graph
-        };
-        let summary = {
-            let _tspan = trace.map(|t| t.span(opts.algorithm.span_name()));
-            let (summary, _us) = obs.time(opts.algorithm.span_name(), || match cached {
-                Some(g) if opts.algorithm.is_greedy() => {
-                    GreedySummarizer.summarize_seeded(&graph, opts.k, &g.keys, trace)
-                }
-                _ => {
-                    let alg = opts
-                        .algorithm
-                        .summarizer(item_seed(opts.corpus_seed, idx as u64));
-                    alg.summarize_traced(&graph, opts.k, trace)
-                }
-            });
-            summary
-        };
+        });
+        let (summary, _us) = obs.time_traced(opts.algorithm.span_name(), trace, || match cached {
+            Some(g) if opts.algorithm.is_greedy() => {
+                GreedySummarizer.summarize_seeded(&graph, opts.k, &g.keys, trace)
+            }
+            _ => {
+                let alg = opts
+                    .algorithm
+                    .summarizer(item_seed(opts.corpus_seed, idx as u64));
+                alg.summarize_traced(&graph, opts.k, trace)
+            }
+        });
         finish_item_summary(
             hierarchy,
             opts.granularity,
@@ -328,7 +326,7 @@ impl ItemArtifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{summarize_one, BatchAlgorithm, Fault};
+    use crate::BatchAlgorithm;
     use osa_datasets::{Corpus, CorpusConfig, Review};
 
     fn corpus() -> Corpus {
@@ -367,19 +365,34 @@ mod tests {
     }
 
     #[test]
-    fn artifact_summaries_match_the_batch_pipeline() {
+    fn cached_graph_summaries_match_the_naive_rebuild() {
+        // The cached plan/shard path (greedy warm-started from the cached
+        // keys) against the cold fallback: the naive builder caches no
+        // graph artifacts, so it rebuilds the graph and solves cold.
         let corpus = corpus();
+        let h = &corpus.hierarchy;
         let mut scratch = WorkerScratch::new();
-        let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
-        for opts in opts_matrix() {
-            for (idx, item) in corpus.items.iter().enumerate() {
-                let art =
-                    ItemArtifacts::build(&corpus.hierarchy, &extractor, &opts, item, &mut scratch);
-                let got = art.summarize(&corpus.hierarchy, &opts, idx, item, &mut scratch, None);
-                let expect =
-                    summarize_one(&corpus, &extractor, &opts, &mut scratch, idx, Fault::None)
-                        .unwrap();
-                assert_eq!(got, expect, "{opts:?} item {idx}");
+        let extractor = Extractor::from_hierarchy(h);
+        for granularity in [Granularity::Sentences, Granularity::Reviews] {
+            for algorithm in [BatchAlgorithm::Greedy, BatchAlgorithm::LocalSearch] {
+                let indexed = BatchOptions {
+                    granularity,
+                    algorithm,
+                    ..BatchOptions::default()
+                };
+                let naive = BatchOptions {
+                    graph_impl: GraphImpl::Naive,
+                    ..indexed.clone()
+                };
+                for (idx, item) in corpus.items.iter().enumerate() {
+                    let cached = ItemArtifacts::build(h, &extractor, &indexed, item, &mut scratch);
+                    let cold = ItemArtifacts::build(h, &extractor, &naive, item, &mut scratch);
+                    assert!(cached.has_graph_for(&indexed));
+                    assert!(!cold.has_graph_for(&naive));
+                    let got = cached.summarize(h, &indexed, idx, item, &mut scratch, None);
+                    let expect = cold.summarize(h, &naive, idx, item, &mut scratch, None);
+                    assert_eq!(got, expect, "{indexed:?} item {idx}");
+                }
             }
         }
     }

@@ -14,8 +14,10 @@
 //! * [`BatchReport`] — the aggregate: per-item results in item order plus
 //!   throughput and latency statistics (items/s, p50/p95 via
 //!   [`osa_eval::LatencyHistogram`]).
-//! * [`summarize_corpus`] — the domain driver: extraction → coverage
-//!   graph → summarization per item, with per-item RNG seeds derived
+//! * [`summarize_corpus`] — the domain driver: a [`BatchJob`] whose
+//!   per-item work is the one per-item pipeline,
+//!   [`incremental::ItemArtifacts`] (extraction → coverage graph →
+//!   summarization), traced per item, with per-item RNG seeds derived
 //!   from `(corpus_seed, item_id)` by [`item_seed`] so randomized
 //!   algorithms are also schedule-independent.
 //!
@@ -32,7 +34,7 @@ pub use fault::{
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use osa_core::{
     CoverageGraph, Granularity, GraphBuildPlan, GraphBuildScratch, GraphImpl, GraphShard,
@@ -238,7 +240,7 @@ pub fn warm_ancestor_index(h: &Hierarchy, ancestor: AncestorImpl) {
 /// `shard_fn`) is re-raised **once** on the calling thread via
 /// [`std::panic::resume_unwind`], preserving the original panic message
 /// so an enclosing `catch_unwind` (the per-item isolation in
-/// [`BatchJob::run`] / [`BatchJob::run_isolated`], or the serve layer)
+/// [`BatchJob::run`], or the serve layer)
 /// can surface it as a per-item error instead of the process dying on a
 /// `join().expect(...)`.
 fn run_sharded<S, C>(
@@ -379,19 +381,31 @@ impl WorkerScratch {
 pub struct BatchJob<'a, T> {
     items: &'a [T],
     jobs: usize,
+    retries: u32,
 }
 
 impl<'a, T: Sync> BatchJob<'a, T> {
-    /// A batch over `items`, single-threaded until [`jobs`](Self::jobs)
-    /// says otherwise.
+    /// A batch over `items`, single-threaded and without retries until
+    /// [`jobs`](Self::jobs) and [`retries`](Self::retries) say otherwise.
     pub fn new(items: &'a [T]) -> Self {
-        BatchJob { items, jobs: 1 }
+        BatchJob {
+            items,
+            jobs: 1,
+            retries: 0,
+        }
     }
 
     /// Set the worker count (`0` = all available cores). The pool never
     /// exceeds the number of items.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
+        self
+    }
+
+    /// Set the retry budget per item: a panicking item runs again, with a
+    /// fresh scratch, up to `retries` more times (default 0).
+    pub fn retries(mut self, retries: u32) -> Self {
+        self.retries = retries;
         self
     }
 
@@ -404,48 +418,43 @@ impl<'a, T: Sync> BatchJob<'a, T> {
     ///
     /// Panic contract: every `work` call executes under
     /// [`std::panic::catch_unwind`], so one poisoned item never tears
-    /// down the caller (or, in a daemon, the process). A panicking item
-    /// is dropped from `results`/`per_item_micros` and surfaced as an
-    /// [`ItemFailure`] (with `attempts == 1`) in
-    /// [`BatchReport::failed`] — the same shape
-    /// [`run_isolated`](Self::run_isolated) uses, minus the retries.
-    /// Like `results`, the `failed` list is jobs-invariant.
+    /// down the caller (or, in a daemon, the process). A panicking
+    /// attempt replaces the worker's scratch and, within the
+    /// [`retries`](Self::retries) budget, runs the item again; an item
+    /// whose every attempt panics is dropped from
+    /// `results`/`per_item_micros` and surfaced as an [`ItemFailure`] in
+    /// [`BatchReport::failed`]. Items that succeed after a panic count in
+    /// [`BatchReport::retried`]. Like `results`, `failed` and `retried`
+    /// are jobs-invariant: an item's attempts depend only on `work`.
     pub fn run<R, F>(&self, work: F) -> BatchReport<R>
-    where
-        R: Send,
-        F: Fn(&mut WorkerScratch, usize, &T) -> R + Sync,
-    {
-        self.run_counted(work, true)
-    }
-
-    /// [`run`](Self::run) with control over whether the batch bumps the
-    /// `runtime.items.attempts` execution counter. `run_isolated` counts
-    /// its own per-item attempts (retries included), so its inner batch
-    /// must not also count one execution per item.
-    fn run_counted<R, F>(&self, work: F, count_attempts: bool) -> BatchReport<R>
     where
         R: Send,
         F: Fn(&mut WorkerScratch, usize, &T) -> R + Sync,
     {
         let jobs = effective_jobs(self.jobs).min(self.items.len()).max(1);
         let wall = Stopwatch::start();
-        // `Ok` carries the result and its latency; `Err` carries the
-        // panic message of a poisoned item.
-        type Slot<R> = Result<(R, f64), String>;
+        // An item's result and latency, or its last panic message; both
+        // with the attempts it took.
+        type Slot<R> = (Result<(R, f64), String>, u32);
         let run_one = |scratch: &mut WorkerScratch, i: usize, item: &T| -> Slot<R> {
-            let (caught, us) = Stopwatch::time(|| {
-                std::panic::catch_unwind(AssertUnwindSafe(|| work(scratch, i, item)))
-            });
-            match caught {
-                Ok(r) => Ok((r, us)),
-                Err(payload) => {
-                    // The panic may have left the scratch caches
-                    // mid-update; they are only performance state, so
-                    // replace rather than trying to repair.
-                    *scratch = WorkerScratch::new();
-                    Err(panic_message(payload.as_ref()))
+            let mut attempt = 0u32;
+            let (caught, us) = Stopwatch::time(|| loop {
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| work(scratch, i, item)));
+                attempt += 1;
+                match caught {
+                    Ok(r) => break Ok(r),
+                    Err(payload) => {
+                        // The panic may have left the scratch caches
+                        // mid-update; they are only performance state, so
+                        // replace rather than trying to repair.
+                        *scratch = WorkerScratch::new();
+                        if attempt > self.retries {
+                            break Err(panic_message(payload.as_ref()));
+                        }
+                    }
                 }
-            }
+            });
+            (caught.map(|r| (r, us)), attempt)
         };
         let mut slots: Vec<Option<Slot<R>>> = (0..self.items.len()).map(|_| None).collect();
         let obs = osa_obs::global();
@@ -462,7 +471,7 @@ impl<'a, T: Sync> BatchJob<'a, T> {
             let mut completed = 0usize;
             for (i, item) in self.items.iter().enumerate() {
                 let slot = run_one(&mut scratch, i, item);
-                completed += slot.is_ok() as usize;
+                completed += slot.0.is_ok() as usize;
                 slots[i] = Some(slot);
             }
             record_worker_stats(completed);
@@ -492,7 +501,7 @@ impl<'a, T: Sync> BatchJob<'a, T> {
                                 };
                                 done.push((i, run_one(&mut scratch, i, item)));
                             }
-                            record_worker_stats(done.iter().filter(|(_, s)| s.is_ok()).count());
+                            record_worker_stats(done.iter().filter(|(_, s)| s.0.is_ok()).count());
                             if steal_timing {
                                 osa_obs::global()
                                     .histogram("runtime.steal.us")
@@ -520,26 +529,29 @@ impl<'a, T: Sync> BatchJob<'a, T> {
             });
         }
 
-        let executed = slots.iter().filter(|s| s.is_some()).count();
-        if count_attempts {
-            obs.add("runtime.items.attempts", executed as u64);
-        }
         let mut results = Vec::with_capacity(slots.len());
         let mut per_item_micros = Vec::with_capacity(slots.len());
         let mut latency = LatencyHistogram::new();
         let mut failed = Vec::new();
+        let mut retried = 0u64;
+        let mut attempts_total = 0u64;
         for (i, slot) in slots.into_iter().enumerate() {
             match slot {
-                Some(Ok((r, us))) => {
+                Some((Ok((r, us)), attempts)) => {
+                    attempts_total += u64::from(attempts);
+                    retried += u64::from(attempts > 1);
                     latency.record(us);
                     per_item_micros.push(us);
                     results.push(r);
                 }
-                Some(Err(message)) => failed.push(ItemFailure {
-                    item: i,
-                    attempts: 1,
-                    message,
-                }),
+                Some((Err(message), attempts)) => {
+                    attempts_total += u64::from(attempts);
+                    failed.push(ItemFailure {
+                        item: i,
+                        attempts,
+                        message,
+                    });
+                }
                 // Claimed by a worker that died before reporting — the
                 // worker-level panic message (if any) is the best
                 // attribution available.
@@ -552,8 +564,12 @@ impl<'a, T: Sync> BatchJob<'a, T> {
                 }),
             }
         }
-        if count_attempts && !failed.is_empty() {
+        obs.add("runtime.items.attempts", attempts_total);
+        if !failed.is_empty() {
             obs.add("runtime.items.failed", failed.len() as u64);
+        }
+        if retried > 0 {
+            obs.add("runtime.items.retried", retried);
         }
         BatchReport {
             results,
@@ -562,103 +578,7 @@ impl<'a, T: Sync> BatchJob<'a, T> {
             wall_micros: wall.micros(),
             jobs,
             stages: Vec::new(),
-            failed,
-            retried: 0,
-        }
-    }
-
-    /// Like [`run`](Self::run), but each item executes under
-    /// [`std::panic::catch_unwind`] with up to `retry_limit` retries: a
-    /// panicking item is retried with a fresh scratch, and if every
-    /// attempt panics the item lands as `None` in `results` with an
-    /// [`ItemFailure`] in the report — one poisoned item degrades
-    /// gracefully instead of aborting the batch.
-    ///
-    /// `work` additionally receives the 0-based attempt number.
-    /// Determinism contract: because items are keyed by index and the
-    /// attempt sequence per item depends only on `work` itself, the
-    /// `results`/`failed`/`retried` fields are identical for any `jobs`.
-    pub fn run_isolated<R, F>(&self, retry_limit: u32, work: F) -> BatchReport<Option<R>>
-    where
-        R: Send,
-        F: Fn(&mut WorkerScratch, usize, &T, u32) -> R + Sync,
-    {
-        struct Outcome<R> {
-            item: usize,
-            result: Option<R>,
-            attempts: u32,
-            error: Option<String>,
-        }
-        let report = self.run_counted(
-            |scratch, i, item| {
-                let mut attempt = 0u32;
-                loop {
-                    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        work(scratch, i, item, attempt)
-                    }));
-                    match caught {
-                        Ok(r) => {
-                            return Outcome {
-                                item: i,
-                                result: Some(r),
-                                attempts: attempt + 1,
-                                error: None,
-                            }
-                        }
-                        Err(payload) => {
-                            // The panic may have left the scratch caches
-                            // mid-update; they are only performance state,
-                            // so replace rather than trying to repair.
-                            *scratch = WorkerScratch::new();
-                            if attempt >= retry_limit {
-                                return Outcome {
-                                    item: i,
-                                    result: None,
-                                    attempts: attempt + 1,
-                                    error: Some(panic_message(payload.as_ref())),
-                                };
-                            }
-                            attempt += 1;
-                        }
-                    }
-                }
-            },
-            false,
-        );
-        // The inner batch can itself record failures (a panic escaping
-        // even the retry loop, or a dead worker thread); keep those and
-        // fill their result slots with `None` so `results` stays indexed
-        // by item.
-        let mut failed = report.failed;
-        let mut retried = 0u64;
-        let mut attempts_total = 0u64;
-        let mut results: Vec<Option<R>> = (0..self.items.len()).map(|_| None).collect();
-        for out in report.results {
-            attempts_total += u64::from(out.attempts);
-            if out.result.is_some() && out.attempts > 1 {
-                retried += 1;
-            }
-            if out.result.is_none() {
-                failed.push(ItemFailure {
-                    item: out.item,
-                    attempts: out.attempts,
-                    message: out.error.unwrap_or_default(),
-                });
-            }
-            results[out.item] = out.result;
-        }
-        failed.sort_by_key(|f| f.item);
-        let obs = osa_obs::global();
-        obs.add("runtime.items.attempts", attempts_total);
-        obs.add("runtime.items.failed", failed.len() as u64);
-        obs.add("runtime.items.retried", retried);
-        BatchReport {
-            results,
-            per_item_micros: report.per_item_micros,
-            latency: report.latency,
-            wall_micros: report.wall_micros,
-            jobs: report.jobs,
-            stages: report.stages,
+            traces: Vec::new(),
             failed,
             retried,
         }
@@ -702,21 +622,41 @@ fn record_worker_stats(items_done: usize) {
 /// items.
 #[derive(Debug, Clone)]
 pub struct StageStats {
-    /// Stage name — matches the span name the stage records under
-    /// (`extract`, `graph.build`, `solve.<algorithm>`).
-    pub name: &'static str,
+    /// Stage name — the span name the stage records under (`extract`,
+    /// `graph.build`, `solve.<algorithm>`).
+    pub name: String,
     /// Per-item latencies of this stage, in microseconds.
     pub latency: LatencyHistogram,
 }
 
 impl StageStats {
     /// Aggregate per-item stage latencies under `name`.
-    pub fn new(name: &'static str, micros: impl IntoIterator<Item = f64>) -> Self {
+    pub fn new(name: impl Into<String>, micros: impl IntoIterator<Item = f64>) -> Self {
         let mut latency = LatencyHistogram::new();
         for us in micros {
             latency.record(us);
         }
-        StageStats { name, latency }
+        StageStats {
+            name: name.into(),
+            latency,
+        }
+    }
+
+    /// One row per stage the traces' roots have as direct children, in
+    /// first-appearance order, each aggregating every tree's total for
+    /// that stage ([`osa_obs::TraceTree::stage_totals`]).
+    pub fn from_traces(trees: &[osa_obs::TraceTree]) -> Vec<Self> {
+        let mut stages: Vec<StageStats> = Vec::new();
+        for tree in trees {
+            for (name, us) in tree.stage_totals() {
+                let us = us as f64;
+                match stages.iter_mut().find(|s| s.name == name) {
+                    Some(s) => s.latency.record(us),
+                    None => stages.push(StageStats::new(name, [us])),
+                }
+            }
+        }
+        stages
     }
 
     /// Total microseconds spent in this stage.
@@ -742,13 +682,15 @@ pub struct BatchReport<R> {
     /// Worker count actually used.
     pub jobs: usize,
     /// Per-stage latency breakdown (empty unless the batch driver
-    /// recorded stages, as [`summarize_corpus`] does).
+    /// recorded stages, as [`summarize_corpus`] does from `traces`).
     pub stages: Vec<StageStats>,
-    /// Items whose every attempt panicked: under
-    /// [`BatchJob::run_isolated`] after `retry_limit` retries, under
-    /// plain [`BatchJob::run`] after the single attempt. Failed items
-    /// are absent from `results`/`per_item_micros` (which stay aligned
-    /// with each other). Like `results`, jobs-invariant.
+    /// One span tree per successful item, in item order (empty unless
+    /// the batch driver traced its items, as [`summarize_corpus`] does).
+    pub traces: Vec<osa_obs::TraceTree>,
+    /// Items whose every attempt panicked (after the
+    /// [`BatchJob::retries`] budget). Failed items are absent from
+    /// `results`/`per_item_micros` (which stay aligned with each other).
+    /// Like `results`, jobs-invariant.
     pub failed: Vec<ItemFailure>,
     /// Items that succeeded after at least one panicking attempt.
     pub retried: u64,
@@ -961,12 +903,14 @@ pub struct BatchOptions {
     /// Extraction implementation (interned by default; naive as an
     /// oracle).
     pub extract_impl: ExtractImpl,
-    /// Deterministic fault injection. `None` (the default) runs the
-    /// batch on the plain fast path; `Some` routes through
-    /// [`BatchJob::run_isolated`] with panic isolation and retries.
+    /// Deterministic fault injection: `Some` wraps every item's work in
+    /// its planned [`Fault`] (see [`Fault::apply`]). The batch runs the
+    /// same code either way; `None` (the default) injects nothing.
     pub fault_plan: Option<FaultPlan>,
-    /// Retry budget per item when `fault_plan` is set (attempts beyond
-    /// the first).
+    /// Retry budget per item under a `fault_plan` (attempts beyond the
+    /// first, see [`BatchJob::retries`]). A batch without a plan never
+    /// retries: a genuine panic in the pipeline is deterministic, so it
+    /// fails after one attempt.
     pub retries: u32,
 }
 
@@ -1009,158 +953,80 @@ pub struct ItemSummary {
 
 /// Summarize every item of `corpus` in parallel.
 ///
+/// Each item runs the one per-item pipeline: extraction (the `extract`
+/// stage), [`ItemArtifacts::from_extracted`](incremental::ItemArtifacts::from_extracted)
+/// and [`ItemArtifacts::summarize`](incremental::ItemArtifacts::summarize),
+/// recorded on its own [`osa_obs::Trace`] (id = item index) under a
+/// `summarize_one` root span. The trees ride on the report as
+/// [`BatchReport::traces`], and [`BatchReport::stages`] aggregates their
+/// stage totals. Tracing only observes: the results are the same whether
+/// or not anyone reads the trees.
+///
 /// Byte-identical output for any `opts.jobs`: results are collected by
 /// item index and randomized algorithms draw from
-/// [`item_seed`]`(opts.corpus_seed, item)`.
-///
-/// At `Granularity::Pairs` the engine first collapses duplicate pairs
-/// through the worker's scratch
-/// ([`WorkerScratch::compress_into`]) and solves the weighted instance —
-/// same cost, smaller graph.
+/// [`item_seed`]`(opts.corpus_seed, item)`. Under `opts.fault_plan` each
+/// item's work runs inside its planned [`Fault`], with `opts.retries`
+/// retries.
 pub fn summarize_corpus(corpus: &Corpus, opts: &BatchOptions) -> BatchReport<ItemSummary> {
-    summarize_corpus_inner(corpus, opts, false).0
-}
-
-/// [`summarize_corpus`], plus one completed span tree per successful
-/// item (in item order; trace ids are the item indices). The report —
-/// and therefore any rendered output — is byte-identical to an untraced
-/// run: tracing only observes, it never perturbs.
-pub fn summarize_corpus_traced(
-    corpus: &Corpus,
-    opts: &BatchOptions,
-) -> (BatchReport<ItemSummary>, Vec<osa_obs::TraceTree>) {
-    summarize_corpus_inner(corpus, opts, true)
-}
-
-fn summarize_corpus_inner(
-    corpus: &Corpus,
-    opts: &BatchOptions,
-    traced: bool,
-) -> (BatchReport<ItemSummary>, Vec<osa_obs::TraceTree>) {
-    let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
+    let h = &corpus.hierarchy;
+    let extractor = Extractor::from_hierarchy(h);
     let items: Vec<_> = corpus.indexed_items().collect();
-    let solve_span = opts.algorithm.span_name();
     // Warm the shared ancestor-index cache before fan-out so workers
     // don't serialize on the `OnceLock` initialization.
-    warm_ancestor_index(&corpus.hierarchy, opts.ancestor_impl);
-
-    // When traced, each invocation builds a fresh request-scoped trace
-    // (id = item index) whose root span wraps the whole pipeline; a
-    // panicked attempt under fault injection simply discards its trace
-    // and the retry starts a new one.
-    let run_one = |scratch: &mut WorkerScratch,
-                   idx: usize,
-                   item: &osa_datasets::Item,
-                   fault: Fault|
-     -> (ItemSummary, [f64; 3], Option<osa_obs::TraceTree>) {
-        if traced {
-            let trace = osa_obs::Trace::new(idx as u64);
-            let (summary, times) = {
-                let _root = trace.span("summarize_one");
-                summarize_item(
-                    corpus,
-                    &extractor,
-                    opts,
-                    scratch,
-                    idx,
-                    item,
-                    fault,
-                    Some(&trace),
-                )
+    warm_ancestor_index(h, opts.ancestor_impl);
+    let obs = osa_obs::global();
+    // Attempts so far per item: the fault wrapper's attempt number.
+    let attempts: Vec<AtomicU32> = items.iter().map(|_| AtomicU32::new(0)).collect();
+    let report = BatchJob::new(&items)
+        .jobs(opts.jobs)
+        .retries(opts.fault_plan.map_or(0, |_| opts.retries))
+        .run(|scratch, i, &(idx, item)| {
+            let fault = opts.fault_plan.map_or(Fault::None, |p| p.fault_for(idx));
+            let attempt = attempts[i].fetch_add(1, Ordering::Relaxed);
+            let work = || {
+                let trace = osa_obs::Trace::new(idx as u64);
+                let summary = {
+                    let _root = trace.span("summarize_one");
+                    let (ex, _us) = obs.time_traced("extract", Some(&trace), || {
+                        extractor.extract(item, opts.extract_impl, &mut scratch.extract)
+                    });
+                    let (artifacts, _us) = obs.time_traced("graph.build", Some(&trace), || {
+                        incremental::ItemArtifacts::from_extracted(h, opts, item, ex, scratch)
+                    });
+                    artifacts.summarize(h, opts, idx, item, scratch, Some(&trace))
+                };
+                (summary, trace.tree())
             };
-            (summary, times, Some(trace.tree()))
-        } else {
-            let (summary, times) =
-                summarize_item(corpus, &extractor, opts, scratch, idx, item, fault, None);
-            (summary, times, None)
-        }
-    };
-
-    // Each item reports its per-stage wall times alongside the summary;
-    // they are split off below so `results` (the deterministic payload)
-    // stays timing-free while the report grows a stage table. The same
-    // timings are recorded as spans on the global `osa-obs` registry.
-    type Entry = Option<(ItemSummary, [f64; 3], Option<osa_obs::TraceTree>)>;
-    let report: BatchReport<Entry> = match opts.fault_plan {
-        None => {
-            let r = BatchJob::new(&items)
-                .jobs(opts.jobs)
-                .run(|scratch, _, &(idx, item)| run_one(scratch, idx, item, Fault::None));
-            BatchReport {
-                results: r.results.into_iter().map(Some).collect(),
-                per_item_micros: r.per_item_micros,
-                latency: r.latency,
-                wall_micros: r.wall_micros,
-                jobs: r.jobs,
-                stages: r.stages,
-                failed: r.failed,
-                retried: r.retried,
-            }
-        }
-        Some(plan) => BatchJob::new(&items).jobs(opts.jobs).run_isolated(
-            opts.retries,
-            |scratch, _, &(idx, item), attempt| {
-                let fault = plan.fault_for(idx);
-                if let Fault::Panic { failing_attempts } = fault {
-                    if attempt < failing_attempts {
-                        injected_panic(format!("injected panic (item {idx}, attempt {attempt})"));
-                    }
-                }
-                if let Fault::Delay { micros } = fault {
-                    std::thread::sleep(std::time::Duration::from_micros(micros));
-                }
-                run_one(scratch, idx, item, fault)
-            },
-        ),
-    };
-
-    let mut results = Vec::new();
-    let mut stage_times = Vec::new();
-    let mut trees = Vec::new();
-    for entry in report.results.into_iter().flatten() {
-        results.push(entry.0);
-        stage_times.push(entry.1);
-        if let Some(tree) = entry.2 {
-            trees.push(tree);
-        }
+            fault.apply(idx, attempt, work, |(s, _)| s.num_pairs > 0)
+        });
+    let (results, traces): (Vec<_>, Vec<_>) = report.results.into_iter().unzip();
+    BatchReport {
+        results,
+        per_item_micros: report.per_item_micros,
+        latency: report.latency,
+        wall_micros: report.wall_micros,
+        jobs: report.jobs,
+        stages: StageStats::from_traces(&traces),
+        traces,
+        failed: report.failed,
+        retried: report.retried,
     }
-    let stage =
-        |name: &'static str, i: usize| StageStats::new(name, stage_times.iter().map(move |t| t[i]));
-    (
-        BatchReport {
-            results,
-            per_item_micros: report.per_item_micros,
-            latency: report.latency,
-            wall_micros: report.wall_micros,
-            jobs: report.jobs,
-            stages: vec![
-                stage("extract", 0),
-                stage("graph.build", 1),
-                stage(solve_span, 2),
-            ],
-            failed: report.failed,
-            retried: report.retried,
-        },
-        trees,
-    )
 }
 
-/// Summarize a single corpus item with a caller-owned scratch — the
-/// per-request entry point of the `osa-serve` daemon, which keeps one
-/// [`Extractor`] and one [`WorkerScratch`] per worker thread and calls
-/// this once per `GET /summary/{item}`.
+/// Summarize a single corpus item with a caller-owned scratch:
+/// [`ItemArtifacts::build`](incremental::ItemArtifacts::build) then
+/// [`summarize`](incremental::ItemArtifacts::summarize), under `fault`
+/// (usually [`Fault::None`]; see [`Fault::apply`], as attempt 0).
 ///
-/// Runs the exact [`summarize_corpus`] per-item pipeline (extract →
-/// optional fault → coverage graph → solve), so for identical
-/// `(corpus, opts)` the returned [`ItemSummary`] — and therefore
-/// [`render_item_summary`]'s text — is byte-identical to the matching
-/// block of a batch run at any `--jobs`. `opts.jobs` and
-/// `opts.fault_plan` are ignored; pass `fault` explicitly (usually
-/// [`Fault::None`]).
+/// This is the per-item pipeline [`summarize_corpus`] runs, so for
+/// identical `(corpus, opts)` the returned [`ItemSummary`] — and
+/// therefore [`render_item_summary`]'s text — is byte-identical to the
+/// matching block of a batch run at any `--jobs`. `opts.jobs` and
+/// `opts.fault_plan` are ignored.
 ///
 /// Returns `None` when `item` is out of range. Panics propagate to the
-/// caller — wrap in `catch_unwind` (as both the batch engine and the
-/// serve worker pool do) to isolate poisoned requests.
+/// caller — wrap in `catch_unwind` (as the batch engine does) to
+/// isolate poisoned items.
 pub fn summarize_one(
     corpus: &Corpus,
     extractor: &Extractor,
@@ -1169,104 +1035,13 @@ pub fn summarize_one(
     item: usize,
     fault: Fault,
 ) -> Option<ItemSummary> {
-    summarize_one_traced(corpus, extractor, opts, scratch, item, fault, None)
-}
-
-/// [`summarize_one`], with the pipeline's stage spans and counters
-/// additionally recorded on `trace` (when one is provided). Each stage
-/// becomes a child span of whatever span the caller currently has open
-/// on the trace; passing `None` is exactly `summarize_one`.
-#[allow(clippy::too_many_arguments)]
-pub fn summarize_one_traced(
-    corpus: &Corpus,
-    extractor: &Extractor,
-    opts: &BatchOptions,
-    scratch: &mut WorkerScratch,
-    item: usize,
-    fault: Fault,
-    trace: Option<&osa_obs::Trace>,
-) -> Option<ItemSummary> {
     let it = corpus.items.get(item)?;
-    Some(summarize_item(corpus, extractor, opts, scratch, item, it, fault, trace).0)
-}
-
-/// The per-item pipeline body of [`summarize_corpus`]: extract → (maybe
-/// corrupt, under fault injection) → coverage graph → summarize. Returns
-/// the summary plus the three per-stage wall times in microseconds.
-#[allow(clippy::too_many_arguments)]
-fn summarize_item(
-    corpus: &Corpus,
-    extractor: &Extractor,
-    opts: &BatchOptions,
-    scratch: &mut WorkerScratch,
-    idx: usize,
-    item: &osa_datasets::Item,
-    fault: Fault,
-    trace: Option<&osa_obs::Trace>,
-) -> (ItemSummary, [f64; 3]) {
-    let obs = osa_obs::global();
-    let (mut ex, extract_us) = {
-        let _tspan = trace.map(|t| t.span("extract"));
-        let (ex, us) = obs.time("extract", || {
-            extractor.extract(item, opts.extract_impl, &mut scratch.extract)
-        });
-        if let Some(t) = trace {
-            t.count("extract.pairs", ex.pairs.len() as u64);
-            t.count("extract.sentences", ex.sentences.len() as u64);
-        }
-        (ex, us)
+    let h = &corpus.hierarchy;
+    let work = || {
+        incremental::ItemArtifacts::build(h, extractor, opts, it, scratch)
+            .summarize(h, opts, item, it, scratch, None)
     };
-    // Centralized in `Fault::apply_to_pairs` (shared with the serve
-    // path); total over zero-/single-/many-pair items. The poisoned
-    // pair is detected here, at the injection boundary, and raised as
-    // a typed injected panic — so the quiet hook can match on payload
-    // type rather than message text (the graph builder's own NaN guard
-    // stays as defense-in-depth).
-    fault.apply_to_pairs(&mut ex.pairs);
-    if matches!(fault, Fault::NanSentiment { .. }) && ex.pairs.iter().any(|p| p.sentiment.is_nan())
-    {
-        injected_panic(format!("injected NaN sentiments (item {idx})"));
-    }
-    if opts.granularity == Granularity::Pairs {
-        // For effect only: stage the compressed pairs in the
-        // scratch buffers (the returned refs would borrow the
-        // whole scratch, blocking `graph_build` below).
-        let _ = scratch.compress_into(&ex.pairs);
-    }
-    let (graph, graph_us) = {
-        let _tspan = trace.map(|t| t.span("graph.build"));
-        let (graph, us) = obs.time("graph.build", || {
-            item_graph(&corpus.hierarchy, &ex, opts, scratch)
-        });
-        if let Some(t) = trace {
-            t.count("graph.candidates", graph.num_candidates() as u64);
-            t.count("graph.pairs", graph.num_pairs() as u64);
-        }
-        (graph, us)
-    };
-    let alg = opts
-        .algorithm
-        .summarizer(item_seed(opts.corpus_seed, idx as u64));
-    let (summary, solve_us) = {
-        let _tspan = trace.map(|t| t.span(opts.algorithm.span_name()));
-        obs.time(opts.algorithm.span_name(), || {
-            alg.summarize_traced(&graph, opts.k, trace)
-        })
-    };
-    (
-        finish_item_summary(
-            &corpus.hierarchy,
-            opts.granularity,
-            idx,
-            item,
-            &ex,
-            &scratch.pair_buf,
-            &scratch.weight_buf,
-            &graph,
-            summary,
-        ),
-        [extract_us, graph_us, solve_us],
-    )
+    Some(fault.apply(item, 0, work, |s| s.num_pairs > 0))
 }
 
 /// The coverage graph the pipeline solves for one extracted item under
@@ -1308,9 +1083,7 @@ pub fn item_graph(
 }
 
 /// Render the selected candidates and assemble the [`ItemSummary`] —
-/// the shared tail of `summarize_item` and the incremental
-/// [`ItemArtifacts::summarize`](incremental::ItemArtifacts::summarize)
-/// path, so both produce byte-identical text by construction.
+/// the tail of [`ItemArtifacts::summarize`](incremental::ItemArtifacts::summarize).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_item_summary(
     hierarchy: &osa_ontology::Hierarchy,
@@ -1469,6 +1242,7 @@ mod tests {
                 StageStats::new("graph.build", [2.0, 3.0]),
                 StageStats::new("solve.greedy", [3.0, 7.0]),
             ],
+            traces: Vec::new(),
             failed: Vec::new(),
             retried: 0,
         };
@@ -1484,6 +1258,30 @@ mod tests {
         // No stages → no table.
         let bare = BatchJob::new(&[1]).run(|_, _, &x| x);
         assert_eq!(bare.render_stage_table(), "");
+    }
+
+    #[test]
+    fn stages_aggregate_the_traces_stage_totals() {
+        let tree = |id| {
+            let trace = osa_obs::Trace::new(id);
+            {
+                let _root = trace.span("summarize_one");
+                drop(trace.span("extract"));
+                drop(trace.span("graph.build"));
+                {
+                    // Nested spans are part of their stage, not a stage.
+                    let _solve = trace.span("solve.greedy");
+                    drop(trace.span("inner"));
+                }
+                drop(trace.span("graph.build"));
+            }
+            trace.tree()
+        };
+        let stages = StageStats::from_traces(&[tree(0), tree(1), tree(2)]);
+        let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["extract", "graph.build", "solve.greedy"]);
+        // One sample per tree, repeated spans of a stage summed.
+        assert!(stages.iter().all(|s| s.latency.count() == 3));
     }
 
     #[test]
@@ -1604,74 +1402,58 @@ mod tests {
         assert_eq!(BatchOptions::default().fault_plan, None);
     }
 
-    /// Suppress the default panic-hook backtrace spam for panics this
-    /// test binary injects on purpose; everything else still prints.
-    fn quiet_injected_panics() {
-        static HOOK: std::sync::Once = std::sync::Once::new();
-        HOOK.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .is_some_and(|m| m.contains("injected"))
-                    || info
-                        .payload()
-                        .downcast_ref::<&str>()
-                        .is_some_and(|m| m.contains("injected"));
-                if !injected {
-                    prev(info);
-                }
-            }));
-        });
+    /// One attempt counter per item: a retried closure reads its attempt
+    /// number from here.
+    fn attempt_counters(n: usize) -> Vec<AtomicU32> {
+        (0..n).map(|_| AtomicU32::new(0)).collect()
     }
 
     #[test]
-    fn run_isolated_contains_panics_and_retries() {
+    fn run_retries_contain_panics() {
         quiet_injected_panics();
         let items: Vec<usize> = (0..20).collect();
+        let attempts = attempt_counters(items.len());
         // Item 3 always panics; item 7 panics on attempt 0 only.
-        let report = BatchJob::new(&items)
-            .jobs(4)
-            .run_isolated(1, |_, _, &x, attempt| {
-                if x == 3 || (x == 7 && attempt == 0) {
-                    panic!("injected failure on {x}");
-                }
-                x * 2
-            });
-        assert_eq!(report.results.len(), 20);
-        assert_eq!(report.results[3], None);
-        assert_eq!(report.results[7], Some(14));
+        let report = BatchJob::new(&items).jobs(4).retries(1).run(|_, i, &x| {
+            let attempt = attempts[i].fetch_add(1, Ordering::Relaxed);
+            if x == 3 || (x == 7 && attempt == 0) {
+                injected_panic(format!("injected failure on {x}"));
+            }
+            x * 2
+        });
+        assert_eq!(report.results.len(), 19);
         assert_eq!(report.retried, 1);
         assert_eq!(report.failed.len(), 1);
         assert_eq!(report.failed[0].item, 3);
         assert_eq!(report.failed[0].attempts, 2);
         assert!(report.failed[0].message.contains("injected failure on 3"));
-        for (i, r) in report.results.iter().enumerate() {
-            if i != 3 {
-                assert_eq!(*r, Some(i * 2));
-            }
-        }
+        // Item 7 survived its retry; only item 3 is missing.
+        let expect: Vec<usize> = items.iter().filter(|&&x| x != 3).map(|x| x * 2).collect();
+        assert_eq!(report.results, expect);
     }
 
     #[test]
-    fn run_isolated_failure_accounting_is_jobs_invariant() {
+    fn run_retry_accounting_is_jobs_invariant() {
         quiet_injected_panics();
         let items: Vec<usize> = (0..50).collect();
-        let work = |_: &mut WorkerScratch, _: usize, &x: &usize, attempt: u32| {
-            // Sticky failures on multiples of 7, transient on multiples
-            // of 5 — pure functions of the item, so scheduling can't
-            // change which items fail or retry.
-            if x % 7 == 0 || (x % 5 == 0 && attempt == 0) {
-                panic!("injected ({x}, {attempt})");
-            }
-            x
+        let run = |jobs: usize| {
+            let attempts = attempt_counters(items.len());
+            BatchJob::new(&items).jobs(jobs).retries(2).run(|_, i, &x| {
+                let attempt = attempts[i].fetch_add(1, Ordering::Relaxed);
+                // Sticky failures on multiples of 7, transient on
+                // multiples of 5 — pure functions of the item, so
+                // scheduling can't change which items fail or retry.
+                if x % 7 == 0 || (x % 5 == 0 && attempt == 0) {
+                    injected_panic(format!("injected ({x}, {attempt})"));
+                }
+                x
+            })
         };
-        let base = BatchJob::new(&items).jobs(1).run_isolated(2, work);
+        let base = run(1);
         assert!(!base.failed.is_empty());
         assert!(base.retried > 0);
         for jobs in [3, 8] {
-            let r = BatchJob::new(&items).jobs(jobs).run_isolated(2, work);
+            let r = run(jobs);
             assert_eq!(r.results, base.results, "jobs={jobs}");
             assert_eq!(r.failed, base.failed, "jobs={jobs}");
             assert_eq!(r.retried, base.retried, "jobs={jobs}");
@@ -1679,37 +1461,39 @@ mod tests {
     }
 
     #[test]
-    fn run_isolated_replaces_scratch_after_a_panic() {
+    fn run_retry_replaces_scratch_after_a_panic() {
         quiet_injected_panics();
         let items: Vec<usize> = vec![0, 1];
-        // Item 0 poisons the scratch then panics with no retry budget;
-        // item 1 (same worker, jobs=1) must see a fresh scratch.
+        let attempts = attempt_counters(items.len());
+        // Item 0 poisons the scratch then panics on its first attempt;
+        // its retry and item 1 (same worker, jobs=1) must each see a
+        // fresh scratch.
         let report = BatchJob::new(&items)
             .jobs(1)
-            .run_isolated(0, |scratch, _, &x, _| {
-                if x == 0 {
+            .retries(1)
+            .run(|scratch, i, _| {
+                if attempts[i].fetch_add(1, Ordering::Relaxed) == 0 && i == 0 {
                     scratch.pair_buf.reserve(1 << 16);
-                    panic!("injected poison");
+                    injected_panic("injected poison".to_owned());
                 }
                 scratch.pair_buf.capacity()
             });
-        assert_eq!(report.failed.len(), 1);
-        assert!(report.results[1].unwrap() < (1 << 16));
+        assert!(report.failed.is_empty());
+        assert_eq!(report.retried, 1);
+        assert!(report.results.iter().all(|&c| c < (1 << 16)));
     }
 
     #[test]
-    fn run_isolated_without_panics_matches_run() {
+    fn run_with_retries_but_no_panics_matches_run() {
         let items: Vec<usize> = (0..10).collect();
         let plain = BatchJob::new(&items).jobs(2).run(|_, _, &x| x + 1);
-        let isolated = BatchJob::new(&items)
+        let retrying = BatchJob::new(&items)
             .jobs(2)
-            .run_isolated(1, |_, _, &x, _| x + 1);
-        assert_eq!(
-            isolated.results,
-            plain.results.iter().map(|&r| Some(r)).collect::<Vec<_>>()
-        );
-        assert!(isolated.failed.is_empty());
-        assert_eq!(isolated.retried, 0);
+            .retries(1)
+            .run(|_, _, &x| x + 1);
+        assert_eq!(retrying.results, plain.results);
+        assert!(retrying.failed.is_empty());
+        assert_eq!(retrying.retried, 0);
     }
 
     #[test]
@@ -1723,7 +1507,7 @@ mod tests {
         let items: Vec<usize> = (0..30).collect();
         let work = |_: &mut WorkerScratch, _: usize, &x: &usize| {
             if x % 9 == 4 {
-                panic!("injected poison on {x}");
+                injected_panic(format!("injected poison on {x}"));
             }
             x * 3
         };
@@ -1759,7 +1543,7 @@ mod tests {
         let report = BatchJob::new(&items).jobs(1).run(|scratch, _, &x| {
             if x == 0 {
                 scratch.pair_buf.reserve(1 << 16);
-                panic!("injected poison");
+                injected_panic("injected poison".to_owned());
             }
             scratch.pair_buf.capacity()
         });
@@ -1777,7 +1561,7 @@ mod tests {
         let caught = std::panic::catch_unwind(|| {
             run_sharded::<usize, ()>(8, 4, |_, c| {
                 if c == 5 || c == 2 {
-                    panic!("injected shard failure {c}");
+                    injected_panic(format!("injected shard failure {c}"));
                 }
                 c * 2
             })
@@ -1802,7 +1586,7 @@ mod tests {
             run_sharded::<u32, ()>(16, 4, |_, c| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 if c == 0 {
-                    panic!("injected NaN sentiments stand-in");
+                    injected_panic("injected NaN sentiments stand-in".to_owned());
                 }
                 c as u32
             })
@@ -1815,7 +1599,6 @@ mod tests {
 
     #[test]
     fn failure_attempts_match_actual_executions() {
-        use std::sync::atomic::AtomicU32;
         quiet_injected_panics();
         // Satellite pin: `BatchReport.failed[..].attempts` (the number
         // `/metrics` aggregates into `runtime.items.attempts`) must equal
@@ -1828,18 +1611,11 @@ mod tests {
             ..FaultPlan::none(2026)
         };
         for jobs in [1usize, 4] {
-            let execs: Vec<AtomicU32> = (0..items.len()).map(|_| AtomicU32::new(0)).collect();
-            let report = BatchJob::new(&items)
-                .jobs(jobs)
-                .run_isolated(2, |_, i, &x, attempt| {
-                    execs[i].fetch_add(1, Ordering::Relaxed);
-                    if let Fault::Panic { failing_attempts } = plan.fault_for(x) {
-                        if attempt < failing_attempts {
-                            panic!("injected panic ({x}, {attempt})");
-                        }
-                    }
-                    x
-                });
+            let execs = attempt_counters(items.len());
+            let report = BatchJob::new(&items).jobs(jobs).retries(2).run(|_, i, &x| {
+                let attempt = execs[i].fetch_add(1, Ordering::Relaxed);
+                plan.fault_for(x).apply(x, attempt, || x, |_| false)
+            });
             assert!(
                 !report.failed.is_empty(),
                 "seed must produce sticky failures"
@@ -1882,6 +1658,7 @@ mod tests {
             wall_micros: 1.0,
             jobs: 1,
             stages: Vec::new(),
+            traces: Vec::new(),
             failed: Vec::new(),
             retried: 0,
         };

@@ -70,7 +70,7 @@ fn survivors_are_byte_identical_to_a_fault_free_run() {
                 assert_eq!(failing_attempts, u32::MAX, "item {}", f.item);
                 assert!(f.message.contains("injected panic"), "{}", f.message);
             }
-            Fault::NanSentiment { .. } => {
+            Fault::NanSentiment => {
                 assert!(f.message.contains("NaN sentiments"), "{}", f.message);
             }
             other => panic!("item {} failed under fault {other:?}", f.item),

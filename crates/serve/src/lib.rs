@@ -536,15 +536,9 @@ pub fn serve_prepared(
     osa_obs::global().set_enabled(true);
 
     let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
-    let workers = effective_jobs(opts.workers);
-    let mut cache = LruCache::new(opts.cache_capacity);
-    let warm = opts.warm && opts.cache_capacity > 0;
-    if warm && preextracted.is_none() {
-        warm_cache(&corpus, &opts, workers, &mut cache);
-    }
     let ancestor = opts.defaults.ancestor_impl;
     let state = Arc::new(EpochState::new(corpus, extractor, preextracted, ancestor));
-    launch(listener, bound, state, cache, warm, opts)
+    launch(listener, bound, state, opts)
 }
 
 /// [`serve`], but booting from a lazily opened compiled artifact
@@ -562,26 +556,23 @@ pub fn serve_artifact(
     let bound = listener.local_addr()?;
     osa_obs::global().set_enabled(true);
 
-    let cache = LruCache::new(opts.cache_capacity);
-    let warm = opts.warm && opts.cache_capacity > 0;
     let state = Arc::new(EpochState::new_lazy(artifact, opts.defaults.ancestor_impl));
-    launch(listener, bound, state, cache, warm, opts)
+    launch(listener, bound, state, opts)
 }
 
-/// Shared tail of every boot path: optional prepared-state cache
-/// warm-up, then the worker pool, sampler, and accept loop.
+/// Shared tail of every boot path: optional cache warm-up, then the
+/// worker pool, sampler, and accept loop.
 fn launch(
     listener: TcpListener,
     bound: std::net::SocketAddr,
     state: Arc<EpochState>,
-    mut cache: LruCache<CacheKey, String>,
-    warm: bool,
     opts: ServeOptions,
 ) -> std::io::Result<ServerHandle> {
     let workers = effective_jobs(opts.workers);
     let artifact_opts = artifact_signature(&opts.defaults);
-    if warm && cache.is_empty() {
-        warm_cache_prepared(&state, &artifact_opts, &opts, &mut cache);
+    let mut cache = LruCache::new(opts.cache_capacity);
+    if opts.warm && opts.cache_capacity > 0 {
+        warm_cache(&state, &artifact_opts, workers, &mut cache);
     }
     // Fixed recorder seed: the retained healthy-traffic sample is a
     // deterministic function of the request sequence, which keeps the
@@ -683,68 +674,31 @@ fn artifact_signature(defaults: &BatchOptions) -> BatchOptions {
     opts
 }
 
-/// Pre-fill the cache with every item's default-parameter summary (one
-/// parallel batch over the boot corpus, all items at revision 0).
+/// Pre-fill the cache with every item's default-parameter summary: one
+/// parallel batch over the boot snapshot (all items at revision 0) that
+/// builds each item's artifacts into its [`ItemVersion`] cell — so the
+/// first request for the item, and any ingest to it, reuses them — and
+/// summarizes from them. An item whose warm-up panics is left cold.
 fn warm_cache(
-    corpus: &Corpus,
-    opts: &ServeOptions,
+    state: &EpochState,
+    artifact_opts: &BatchOptions,
     workers: usize,
     cache: &mut LruCache<CacheKey, String>,
 ) {
-    let mut batch_opts = opts.defaults.clone();
-    batch_opts.jobs = workers;
-    batch_opts.fault_plan = None;
-    let report = osa_runtime::summarize_corpus(corpus, &batch_opts);
-    let params = SummaryParams {
-        item: 0,
-        opts: batch_opts,
-        inject: Inject::None,
-    };
+    let h = &state.hierarchy;
+    let report = osa_runtime::BatchJob::new(&state.items)
+        .jobs(workers)
+        .run(|scratch, idx, iv| {
+            iv.artifacts(h, &state.extractor, artifact_opts, scratch)
+                .summarize(h, artifact_opts, idx, iv.item(), scratch, None)
+        });
     for summary in &report.results {
-        let mut p = params.clone();
-        p.item = summary.item;
-        let key = cache_key(&p, 0);
-        cache.insert(key, summary_body(summary, &p, 0));
-    }
-}
-
-/// [`warm_cache`] for an artifact boot: summarize every item from its
-/// pre-extracted payload instead of re-running the batch pipeline, so the
-/// warm-up stays extraction-free. Produces byte-identical cache entries.
-fn warm_cache_prepared(
-    state: &EpochState,
-    artifact_opts: &BatchOptions,
-    opts: &ServeOptions,
-    cache: &mut LruCache<CacheKey, String>,
-) {
-    let mut batch_opts = opts.defaults.clone();
-    batch_opts.jobs = 1;
-    batch_opts.fault_plan = None;
-    let params = SummaryParams {
-        item: 0,
-        opts: batch_opts,
-        inject: Inject::None,
-    };
-    let mut scratch = WorkerScratch::new();
-    for (idx, iv) in state.items.iter().enumerate() {
-        let artifacts = iv.artifacts(
-            &state.hierarchy,
-            &state.extractor,
-            artifact_opts,
-            &mut scratch,
-        );
-        let summary = artifacts.summarize(
-            &state.hierarchy,
-            &params.opts,
-            idx,
-            iv.item(),
-            &mut scratch,
-            None,
-        );
-        let mut p = params.clone();
-        p.item = idx;
-        let key = cache_key(&p, 0);
-        cache.insert(key, summary_body(&summary, &p, 0));
+        let params = SummaryParams {
+            item: summary.item,
+            opts: artifact_opts.clone(),
+            inject: Inject::None,
+        };
+        cache.insert(cache_key(&params, 0), summary_body(summary, &params, 0));
     }
 }
 
@@ -831,15 +785,18 @@ fn compute(
             injected_panic(format!("injected panic (serve, item {})", params.item));
         }
         // Per-item artifacts are built at most once per revision and
-        // shared; the summarize path reuses the cached extraction and
-        // (for the artifact signature) the mergeable graph state, and
-        // is byte-identical to the from-scratch batch pipeline.
-        let artifacts = iv.artifacts(
-            &state.hierarchy,
-            &state.extractor,
-            &shared.artifact_opts,
-            scratch,
-        );
+        // shared: the `extract` stage is that lookup, which runs the
+        // extraction only on a revision's first touch. Summarizing reuses
+        // the cached extraction and (for the artifact signature) the
+        // mergeable graph state.
+        let (artifacts, _us) = obs.time_traced("extract", trace, || {
+            iv.artifacts(
+                &state.hierarchy,
+                &state.extractor,
+                &shared.artifact_opts,
+                scratch,
+            )
+        });
         artifacts.summarize(
             &state.hierarchy,
             &params.opts,

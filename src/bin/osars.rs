@@ -51,8 +51,8 @@ use osars::eval::{sent_err, sent_err_penalized};
 use osars::obs::{JsonlSink, Sink, StderrSink, TeeSink};
 use osars::ontology::AncestorImpl;
 use osars::runtime::{
-    par_for_groups_ancestor, par_for_pairs_ancestor, summarize_corpus, summarize_corpus_traced,
-    BatchAlgorithm, BatchJob, BatchOptions,
+    par_for_groups_ancestor, par_for_pairs_ancestor, summarize_corpus, BatchAlgorithm, BatchJob,
+    BatchOptions,
 };
 use osars::text::ExtractScratch;
 
@@ -565,13 +565,10 @@ fn cmd_summarize_batch(corpus: &Corpus, flags: &HashMap<String, String>) -> Resu
         ancestor_impl: parse_ancestor_impl(flags)?,
         ..BatchOptions::default()
     };
-    // --trace-out routes through the traced batch entry point; stdout is
-    // byte-identical either way (tracing only observes).
+    // Every item is traced; --trace-out only writes the trees out, so
+    // stdout is byte-identical either way.
     let trace_out = flag(flags, "trace-out");
-    let (report, trees) = match trace_out {
-        Some(_) => summarize_corpus_traced(corpus, &opts),
-        None => (summarize_corpus(corpus, &opts), Vec::new()),
-    };
+    let report = summarize_corpus(corpus, &opts);
     print!("{}", report.render_items());
     eprintln!("{}", report.render_stats());
     let stage_table = report.render_stage_table();
@@ -579,11 +576,11 @@ fn cmd_summarize_batch(corpus: &Corpus, flags: &HashMap<String, String>) -> Resu
         eprint!("{stage_table}");
     }
     if let Some(path) = trace_out {
-        let json = osars::obs::chrome_trace_json(&trees);
+        let json = osars::obs::chrome_trace_json(&report.traces);
         std::fs::write(path, &json).map_err(|e| format!("writing '{path}': {e}"))?;
         eprintln!(
             "traces for {} items written to {path} (chrome trace_event format)",
-            trees.len()
+            report.traces.len()
         );
     }
     // A worker panic no longer aborts the process (the engine catches

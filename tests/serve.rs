@@ -543,6 +543,66 @@ fn healthz_metrics_and_error_routes() {
     handle.shutdown();
 }
 
+/// `--warm` pre-fills the cache on a corpus boot and on an artifact
+/// boot alike: the first default request for every item is a hit, and
+/// its body is the one a cold daemon computes on demand.
+#[test]
+fn warm_boots_answer_the_first_request_from_cache() {
+    use osars::datasets::{ExtractImpl, Extractor};
+    use osars::serve::serve_artifact;
+    use osars::text::ExtractScratch;
+
+    let corpus = phones_small();
+    let cold = start(ServeOptions::default());
+    let items: Vec<usize> = (0..corpus.items.len()).step_by(7).collect();
+    let expected: Vec<String> = items
+        .iter()
+        .map(|i| {
+            let (s, h, body) = get(cold.addr(), &format!("/summary/{i}"));
+            assert_eq!(s, 200, "{body}");
+            assert_eq!(h.get("x-osars-cache").map(String::as_str), Some("miss"));
+            body
+        })
+        .collect();
+    cold.shutdown();
+
+    let warm = ServeOptions {
+        warm: true,
+        ..ServeOptions::default()
+    };
+    let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
+    let mut scratch = ExtractScratch::default();
+    let extracted: Vec<_> = corpus
+        .items
+        .iter()
+        .map(|it| extractor.extract(it, ExtractImpl::default(), &mut scratch))
+        .collect();
+    let artifact = osars::artifact::lazy_from_bytes(osars::artifact::encode(&corpus, &extracted))
+        .expect("fresh artifact opens");
+    for (boot, handle) in [
+        ("corpus", start(warm.clone())),
+        (
+            "artifact",
+            serve_artifact(artifact, "127.0.0.1:0", warm).expect("bind ephemeral port"),
+        ),
+    ] {
+        for (i, want) in items.iter().zip(&expected) {
+            let (s, h, body) = get(handle.addr(), &format!("/summary/{i}"));
+            assert_eq!(s, 200, "{boot} boot, item {i}: {body}");
+            assert_eq!(
+                h.get("x-osars-cache").map(String::as_str),
+                Some("hit"),
+                "{boot} boot, item {i}: the first request must hit the warmed cache"
+            );
+            assert_eq!(
+                &body, want,
+                "{boot} boot, item {i}: warm body differs from cold"
+            );
+        }
+        handle.shutdown();
+    }
+}
+
 // --- incremental ingest & per-item revisions --------------------------------
 
 /// The tentpole property over HTTP: an ingest to one item leaves every

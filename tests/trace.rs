@@ -1,5 +1,5 @@
 //! Span-tree well-formedness over *real* summarization traces: every
-//! tree produced by [`summarize_corpus_traced`] must be well formed,
+//! tree [`summarize_corpus`] records must be well formed,
 //! carry exactly the instrumented stage names, and be invariant (in
 //! structure and counters — never in wall times) across `--jobs`.
 
@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use osars::datasets::{Corpus, CorpusConfig};
 use osars::obs::TraceTree;
-use osars::runtime::{summarize_corpus_traced, BatchAlgorithm, BatchOptions};
+use osars::runtime::{summarize_corpus, BatchAlgorithm, BatchOptions};
 
 /// A deliberately tiny phone corpus: these tests assert tree *shape*,
 /// not solve quality, and the ILP pass must stay cheap in debug builds.
@@ -28,7 +28,8 @@ fn traced(corpus: &Corpus, algorithm: BatchAlgorithm, jobs: usize) -> Vec<TraceT
         algorithm,
         ..BatchOptions::default()
     };
-    let (report, trees) = summarize_corpus_traced(corpus, &opts);
+    let report = summarize_corpus(corpus, &opts);
+    let trees = report.traces;
     assert!(report.failed.is_empty(), "{:?}", report.failed);
     assert_eq!(
         trees.len(),
