@@ -52,7 +52,18 @@ struct Row {
     p95_us: f64,
 }
 
-fn measure(corpus: &Corpus, label: &str, ex: &Extractor, which: ExtractImpl) -> Row {
+/// The two extraction engines, with the label each row reports.
+const IMPLS: [(&str, ExtractImpl); 2] = [
+    ("naive", ExtractImpl::Naive),
+    ("interned", ExtractImpl::Interned),
+];
+
+fn measure(
+    corpus: &Corpus,
+    label: &str,
+    ex: &Extractor,
+    (name, which): (&'static str, ExtractImpl),
+) -> Row {
     // One untimed warm-up pass (page in the corpus, size the scratch).
     let _ = per_item_micros(corpus, ex, which);
     let mut us = per_item_micros(corpus, ex, which);
@@ -61,7 +72,7 @@ fn measure(corpus: &Corpus, label: &str, ex: &Extractor, which: ExtractImpl) -> 
     us.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
     Row {
         corpus: label.to_owned(),
-        which: which.name(),
+        which: name,
         items: corpus.items.len(),
         total_ms,
         mean_us,
@@ -125,15 +136,15 @@ fn bench_extract_stage(c: &mut Criterion) {
         let item = &corpus.items[0];
         let mut group = c.benchmark_group(format!("extract/{label}"));
         group.sample_size(10);
-        for which in [ExtractImpl::Naive, ExtractImpl::Interned] {
-            group.bench_with_input(BenchmarkId::new(which.name(), "item0"), &which, |b, &w| {
+        for (name, which) in IMPLS {
+            group.bench_with_input(BenchmarkId::new(name, "item0"), &which, |b, &w| {
                 let mut scratch = ExtractScratch::default();
                 b.iter(|| ex.extract(item, w, &mut scratch));
             });
         }
         group.finish();
-        for which in [ExtractImpl::Naive, ExtractImpl::Interned] {
-            rows.push(measure(corpus, label, &ex, which));
+        for imp in IMPLS {
+            rows.push(measure(corpus, label, &ex, imp));
         }
     }
     write_snapshot(&rows);

@@ -2,12 +2,13 @@
 //!
 //! Checks come in two families. **Corpus checks** push a synthesized
 //! review corpus through the full pipeline (`osa_runtime::summarize_corpus`)
-//! across the `{graph-impl} × {extract-impl} × {jobs} × {summarizer}`
-//! cross product and byte-compare the rendered output, then assert the
-//! solver-relation invariants on the costs. **Synth checks** drive the
-//! graph builders and summarizers directly on sampled pair instances,
-//! where structural invariants (ε-monotone edge sets, permutation
-//! invariance) are expressible. Every check is a pure function of the
+//! across `{jobs} × {summarizer}`, byte-compare the rendered output with
+//! the reference pipeline ([`naive_pipeline`]: naive extraction, naive
+//! graph build, cold solve), then assert the solver-relation invariants
+//! on the costs. **Synth checks** drive the graph builders and
+//! summarizers directly on sampled pair instances, where structural
+//! invariants (ε-monotone edge sets, permutation invariance) are
+//! expressible. Every check is a pure function of the
 //! scenario, so a failing `(seed, case, check)` triple reproduces
 //! anywhere.
 
@@ -25,7 +26,7 @@ use osa_runtime::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::oracle::EagerGreedy;
+use crate::oracle::{naive_pipeline, EagerGreedy};
 use crate::scenario::{Scenario, ScenarioKind, SynthInstance};
 
 /// Worker counts every differential run is repeated at.
@@ -171,40 +172,34 @@ pub fn scenario_fault_plan(s: &Scenario) -> FaultPlan {
     FaultPlan::with_seed(item_seed(s.seed, 0xFA17))
 }
 
-/// Byte-identical rendered output across the full
-/// `{graph} × {extract} × {jobs}` matrix, per deterministic summarizer.
+/// Production output at every `jobs` is byte-identical to the
+/// reference pipeline's, per deterministic summarizer. At sentence and
+/// review granularity this holds the cached-assembly, warm-started path
+/// to a naive graph solved cold.
 fn chk_impl_matrix(s: &Scenario) -> Result<(), String> {
     let c = corpus_of(s);
     for algorithm in [BatchAlgorithm::Greedy, BatchAlgorithm::LocalSearch] {
-        let mut reference: Option<(String, String)> = None;
-        for graph_impl in [GraphImpl::Indexed, GraphImpl::Naive] {
-            for extract_impl in [ExtractImpl::Interned, ExtractImpl::Naive] {
-                for jobs in JOBS_MATRIX {
-                    let combo = format!(
-                        "{algorithm:?}/{}/{}/jobs={jobs}",
-                        graph_impl.name(),
-                        extract_impl.name()
-                    );
-                    let rendered = pipeline(
-                        c,
-                        &BatchOptions {
-                            algorithm,
-                            jobs,
-                            graph_impl,
-                            extract_impl,
-                            ..base_opts(s)
-                        },
-                    )
-                    .render_items();
-                    match &reference {
-                        None => reference = Some((combo, rendered)),
-                        Some((ref_combo, ref_rendered)) => {
-                            if *ref_rendered != rendered {
-                                return Err(format!("output of {combo} diverges from {ref_combo}"));
-                            }
-                        }
-                    }
-                }
+        let opts = BatchOptions {
+            algorithm,
+            ..base_opts(s)
+        };
+        let reference: String = naive_pipeline(c, &opts)
+            .iter()
+            .map(render_item_summary)
+            .collect();
+        for jobs in JOBS_MATRIX {
+            let rendered = pipeline(
+                c,
+                &BatchOptions {
+                    jobs,
+                    ..opts.clone()
+                },
+            )
+            .render_items();
+            if rendered != reference {
+                return Err(format!(
+                    "output of {algorithm:?}/jobs={jobs} diverges from the naive pipeline"
+                ));
             }
         }
     }
@@ -212,36 +207,28 @@ fn chk_impl_matrix(s: &Scenario) -> Result<(), String> {
 }
 
 /// The twin-oracle check of the compressed reachability index: dense CSR
-/// closure vs segmented index render **byte-identically** across the
-/// full `{graph} × {extract} × {jobs}` matrix. The dense closure is the
-/// oracle; the segment index is the only viable implementation at
-/// SNOMED scale — they may never disagree on a single output byte.
+/// closure vs segmented index render **byte-identically** at every
+/// `jobs`. The dense closure is the oracle; the segment index is the
+/// only viable implementation at SNOMED scale — they may never disagree
+/// on a single output byte.
 fn chk_ancestor_impl_matrix(s: &Scenario) -> Result<(), String> {
     let c = corpus_of(s);
-    for graph_impl in [GraphImpl::Indexed, GraphImpl::Naive] {
-        for extract_impl in [ExtractImpl::Interned, ExtractImpl::Naive] {
-            for jobs in JOBS_MATRIX {
-                let run = |ancestor_impl| {
-                    pipeline(
-                        c,
-                        &BatchOptions {
-                            jobs,
-                            graph_impl,
-                            extract_impl,
-                            ancestor_impl,
-                            ..base_opts(s)
-                        },
-                    )
-                    .render_items()
-                };
-                if run(AncestorImpl::Segmented) != run(AncestorImpl::Dense) {
-                    return Err(format!(
-                        "segmented output diverges from the dense oracle at {}/{}/jobs={jobs}",
-                        graph_impl.name(),
-                        extract_impl.name()
-                    ));
-                }
-            }
+    for jobs in JOBS_MATRIX {
+        let run = |ancestor_impl| {
+            pipeline(
+                c,
+                &BatchOptions {
+                    jobs,
+                    ancestor_impl,
+                    ..base_opts(s)
+                },
+            )
+            .render_items()
+        };
+        if run(AncestorImpl::Segmented) != run(AncestorImpl::Dense) {
+            return Err(format!(
+                "segmented output diverges from the dense oracle at jobs={jobs}"
+            ));
         }
     }
     Ok(())
@@ -287,10 +274,10 @@ fn chk_summarizer_relations(s: &Scenario) -> Result<(), String> {
     let mut scratch = WorkerScratch::new();
     let opts = base_opts(s);
     for (i, g) in greedy.results.iter().enumerate() {
-        let ex = extractor.extract(&c.items[i], opts.extract_impl, &mut scratch.extract);
+        let ex = extractor.extract(&c.items[i], ExtractImpl::Interned, &mut scratch.extract);
         // `item_graph` reads these at pairs granularity only.
         let _ = scratch.compress_into(&ex.pairs);
-        let graph = item_graph(&c.hierarchy, &ex, &opts, &mut scratch);
+        let graph = item_graph(&c.hierarchy, &ex, &opts, GraphImpl::Indexed, &mut scratch);
         against_oracle(&format!("item {i} greedy"), &graph, s.k, &g.summary)?;
         against_oracle(
             &format!("item {i} lazy"),
@@ -437,8 +424,8 @@ fn edit_step(
 }
 
 /// The incremental pipeline (`ItemArtifacts::update` after every edit)
-/// renders **byte-identically** to rebuilding from scratch, across
-/// `{Indexed, Naive} × jobs` with greedy, over a seeded
+/// renders **byte-identically** to rebuilding from scratch at every
+/// `jobs` with greedy, over a seeded
 /// random append/retract edit script. This is the end-to-end oracle for
 /// the serve daemon's `POST /reviews` fast path: cached extractions are
 /// extended review-by-review, graph plans/shards are merged as CSR
@@ -447,57 +434,51 @@ fn edit_step(
 fn chk_incremental_vs_rebuild(s: &Scenario) -> Result<(), String> {
     let original = corpus_of(s);
     let extractor = Extractor::from_hierarchy(&original.hierarchy);
-    for graph_impl in [GraphImpl::Indexed, GraphImpl::Naive] {
-        let opts = BatchOptions {
-            graph_impl,
-            ..base_opts(s)
-        };
-        let mut scratch = WorkerScratch::new();
-        let mut corpus = original.clone();
-        let mut artifacts: Vec<ItemArtifacts> = corpus
-            .items
-            .iter()
-            .map(|it| ItemArtifacts::build(&corpus.hierarchy, &extractor, &opts, it, &mut scratch))
-            .collect();
-        for edit in 0..EDIT_SCRIPT_LEN {
-            let (idx, retract, review) = edit_step(s, original, &corpus, edit);
-            if retract {
-                corpus.items[idx].reviews.pop();
-            } else {
-                corpus.items[idx].reviews.push(review);
-            }
-            artifacts[idx] = artifacts[idx].update(
-                &corpus.hierarchy,
-                &extractor,
-                &opts,
-                &corpus.items[idx],
-                &mut scratch,
+    let opts = base_opts(s);
+    let mut scratch = WorkerScratch::new();
+    let mut corpus = original.clone();
+    let mut artifacts: Vec<ItemArtifacts> = corpus
+        .items
+        .iter()
+        .map(|it| ItemArtifacts::build(&corpus.hierarchy, &extractor, &opts, it, &mut scratch))
+        .collect();
+    for edit in 0..EDIT_SCRIPT_LEN {
+        let (idx, retract, review) = edit_step(s, original, &corpus, edit);
+        if retract {
+            corpus.items[idx].reviews.pop();
+        } else {
+            corpus.items[idx].reviews.push(review);
+        }
+        artifacts[idx] = artifacts[idx].update(
+            &corpus.hierarchy,
+            &extractor,
+            &opts,
+            &corpus.items[idx],
+            &mut scratch,
+        );
+        for jobs in JOBS_MATRIX {
+            let fresh = pipeline(
+                &corpus,
+                &BatchOptions {
+                    jobs,
+                    ..opts.clone()
+                },
             );
-            for jobs in JOBS_MATRIX {
-                let fresh = pipeline(
-                    &corpus,
-                    &BatchOptions {
-                        jobs,
-                        ..opts.clone()
-                    },
+            for (i, result) in fresh.results.iter().enumerate() {
+                let incremental = artifacts[i].summarize(
+                    &corpus.hierarchy,
+                    &opts,
+                    i,
+                    &corpus.items[i],
+                    &mut scratch,
+                    None,
                 );
-                for (i, result) in fresh.results.iter().enumerate() {
-                    let incremental = artifacts[i].summarize(
-                        &corpus.hierarchy,
-                        &opts,
-                        i,
-                        &corpus.items[i],
-                        &mut scratch,
-                        None,
-                    );
-                    if render_item_summary(&incremental) != render_item_summary(result) {
-                        return Err(format!(
-                            "{}: after edit {edit} ({} item {idx}), \
-                             incremental item {i} diverges from a fresh rebuild at jobs={jobs}",
-                            graph_impl.name(),
-                            if retract { "retract from" } else { "append to" },
-                        ));
-                    }
+                if render_item_summary(&incremental) != render_item_summary(result) {
+                    return Err(format!(
+                        "after edit {edit} ({} item {idx}), \
+                         incremental item {i} diverges from a fresh rebuild at jobs={jobs}",
+                        if retract { "retract from" } else { "append to" },
+                    ));
                 }
             }
         }

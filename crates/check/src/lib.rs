@@ -2,11 +2,11 @@
 //!
 //! The correctness-tooling backbone of the workspace: a seeded harness
 //! that generates scenarios (synthesized review corpora and synthetic
-//! ontology instances), runs each through the full pipeline across every
-//! implementation pair the repo carries — `graph-impl indexed|naive`,
-//! `extract-impl interned|naive`, `jobs 1|3|8`, and the summarizers
-//! (greedy under both names against the [`oracle::EagerGreedy`]
-//! reference, local-search, exact-on-small) — and
+//! ontology instances), runs each through the full pipeline at
+//! `jobs 1|3|8` against the reference pipeline of [`oracle`] (naive
+//! extraction, naive graph build, cold solve), across the ancestor-index
+//! twins and the summarizers (greedy under both names against the
+//! [`oracle::EagerGreedy`] reference, local-search, exact-on-small) — and
 //! asserts byte-identical output for impl twins plus the paper-level
 //! invariants (C(F, P) non-increasing in k, permutation invariance of
 //! pair order, ε-monotone edge sets, heuristic cost ≥ exact cost).

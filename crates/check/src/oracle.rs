@@ -1,5 +1,13 @@
 //! Reference implementations kept only to check production code against.
 //!
+//! [`naive_pipeline`] is the per-item pipeline built from the slow,
+//! auditable twins production no longer runs: the naive trie-walk
+//! extractor, the naive upward-BFS coverage-graph builder and a cold
+//! solve, rendered by the production tail. Production
+//! (`osa_runtime::summarize_corpus`: interned extraction, indexed build,
+//! cached assembly and warm-started greedy at sentence/review
+//! granularity) must render the same bytes.
+//!
 //! [`EagerGreedy`] is the paper's Algorithm 2 as written: an indexed
 //! max-heap whose keys are exact at all times, kept so by two-hop
 //! decrease-keys after every selection. Production runs the CELF form
@@ -11,7 +19,51 @@
 mod heap;
 
 use heap::IndexedMaxHeap;
-use osa_core::{CoverageGraph, Summarizer, Summary};
+use osa_core::{CoverageGraph, GraphImpl, Summarizer, Summary};
+use osa_datasets::{Corpus, ExtractImpl, Extractor};
+use osa_runtime::{
+    finish_item_summary, item_graph, item_seed, BatchOptions, ItemSummary, WorkerScratch,
+};
+
+/// Summarize every item of `corpus` under `opts` through the reference
+/// pipeline: [`ExtractImpl::Naive`] extraction, [`item_graph`] with
+/// [`GraphImpl::Naive`], and a cold solve (randomized algorithms draw
+/// from the same per-item seed as production). Serial; `opts.jobs`,
+/// `opts.fault_plan` and `opts.retries` are ignored. Rendering each
+/// result with `osa_runtime::render_item_summary` gives the bytes
+/// `osars summarize --item all` must print.
+pub fn naive_pipeline(corpus: &Corpus, opts: &BatchOptions) -> Vec<ItemSummary> {
+    let h = &corpus.hierarchy;
+    let extractor = Extractor::from_hierarchy(h);
+    let mut scratch = WorkerScratch::new();
+    corpus
+        .items
+        .iter()
+        .enumerate()
+        .map(|(idx, item)| {
+            let ex = extractor.extract(item, ExtractImpl::Naive, &mut scratch.extract);
+            // `item_graph` builds over (and the rendering reads) the
+            // compressed pairs at pairs granularity.
+            let _ = scratch.compress_into(&ex.pairs);
+            let graph = item_graph(h, &ex, opts, GraphImpl::Naive, &mut scratch);
+            let summary = opts
+                .algorithm
+                .summarizer(item_seed(opts.corpus_seed, idx as u64))
+                .summarize(&graph, opts.k);
+            finish_item_summary(
+                h,
+                opts.granularity,
+                idx,
+                item,
+                &ex,
+                &scratch.pair_buf,
+                &scratch.weight_buf,
+                &graph,
+                summary,
+            )
+        })
+        .collect()
+}
 
 /// Algorithm 2 with eager two-hop key updates over an indexed max-heap
 /// (larger gain first, smallest candidate id on ties).

@@ -18,7 +18,7 @@
 //!   the result is byte-identical for any worker count.
 //! * **Naive** ([`GraphImpl::Naive`]) — the original per-pair upward BFS
 //!   plus full-bucket scan, kept as the cross-checking oracle
-//!   (`--graph-impl naive`, property tests, benchmarks).
+//!   (`osars check`, property tests, benchmarks).
 //!
 //! The ε-window binary searches reproduce the naive predicate *exactly*:
 //! `|s − s_q| ≤ ε ⟺ fl(s − s_q) ≤ ε ∧ fl(s_q − s) ≤ ε` (IEEE negation is
@@ -82,8 +82,9 @@ pub struct CoverageGraph {
 }
 
 /// Selects which [`CoverageGraph`] construction implementation runs: the
-/// index-backed windowed builder (default) or the original scan builder,
-/// kept as a cross-checking oracle (`--graph-impl naive`).
+/// index-backed windowed builder (default, the one production runs) or
+/// the original scan builder, kept as a cross-checking oracle for
+/// `osars check` and the tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GraphImpl {
     /// Ancestor-closure walk + sentiment-sorted buckets with binary-search
@@ -93,25 +94,6 @@ pub enum GraphImpl {
     /// Per-pair upward BFS + full-bucket scan + per-pair `HashMap`
     /// (the pre-index builder; slower, trivially auditable).
     Naive,
-}
-
-impl GraphImpl {
-    /// Parse the CLI spelling (`indexed|naive`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "indexed" => GraphImpl::Indexed,
-            "naive" => GraphImpl::Naive,
-            _ => return None,
-        })
-    }
-
-    /// The CLI spelling of this implementation.
-    pub fn name(self) -> &'static str {
-        match self {
-            GraphImpl::Indexed => "indexed",
-            GraphImpl::Naive => "naive",
-        }
-    }
 }
 
 /// Reusable dense scratch of the indexed builder: per-candidate best
@@ -1761,15 +1743,6 @@ mod tests {
                 CoverageGraph::for_pairs_with(&h2, &small, 0.1, GraphImpl::Indexed, &mut scratch);
             assert_eq!(tiny, CoverageGraph::for_pairs_naive(&h2, &small, 0.1));
         }
-    }
-
-    #[test]
-    fn graph_impl_names_round_trip() {
-        for imp in [GraphImpl::Indexed, GraphImpl::Naive] {
-            assert_eq!(GraphImpl::from_name(imp.name()), Some(imp));
-        }
-        assert_eq!(GraphImpl::from_name("fast"), None);
-        assert_eq!(GraphImpl::default(), GraphImpl::Indexed);
     }
 
     #[test]

@@ -265,8 +265,9 @@ pub fn extract_truncate(prev: &ExtractedItem, keep_reviews: usize) -> ExtractedI
 }
 
 /// Which extraction implementation to run. Both produce byte-identical
-/// [`ExtractedItem`]s; `Naive` exists as the auditable oracle, mirroring
-/// the graph builder's `--graph-impl indexed|naive` switch.
+/// [`ExtractedItem`]s; production runs `Interned`, and `Naive` exists as
+/// the auditable oracle for `osars check` and the tests, mirroring the
+/// graph builder's `GraphImpl::{Indexed, Naive}` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExtractImpl {
     /// Interned token IDs, Aho-Corasick concept automatons, memoized
@@ -275,25 +276,6 @@ pub enum ExtractImpl {
     Interned,
     /// The original per-token `String` / trie-walk / HashMap pipeline.
     Naive,
-}
-
-impl ExtractImpl {
-    /// Parse a CLI name (`"interned"` or `"naive"`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "interned" => Some(ExtractImpl::Interned),
-            "naive" => Some(ExtractImpl::Naive),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of this implementation.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExtractImpl::Interned => "interned",
-            ExtractImpl::Naive => "naive",
-        }
-    }
 }
 
 /// The extraction engine: owns the naive matcher/lexicon oracle and the

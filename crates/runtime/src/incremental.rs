@@ -29,24 +29,23 @@
 //!
 //! Every update path is **byte-identical** to rebuilding from scratch —
 //! the property the `osa-check --edits` differential oracle enforces
-//! over seeded random edit scripts. Graph artifacts are kept for the
-//! indexed builder at sentence/review granularity; every other
-//! `(granularity, graph-impl)` signature falls back to a fresh graph
-//! build from the cached extraction, which is still sublinear in corpus
-//! size because only the edited item is touched. That fallback (the
-//! naive builder, solved cold) is the reference the cached path is
-//! tested against.
+//! over seeded random edit scripts. Graph artifacts are kept at
+//! sentence/review granularity; at pairs granularity every request
+//! rebuilds the graph from the cached extraction, which is still
+//! sublinear in corpus size because only the edited item is touched.
+//! The cached path is tested against the reference pipeline of
+//! `osars check` (naive builder, solved cold).
 
 use osa_core::{
     CoverageGraph, Granularity, GraphBuildPlan, GraphImpl, GraphShard, GreedySummarizer,
 };
-use osa_datasets::{extract_append, extract_truncate, ExtractedItem, Extractor, Item};
+use osa_datasets::{extract_append, extract_truncate, ExtractImpl, ExtractedItem, Extractor, Item};
 use osa_ontology::Hierarchy;
 
 use crate::{finish_item_summary, item_graph, item_seed, BatchOptions, ItemSummary, WorkerScratch};
 
 /// Cached per-item pipeline state, valid for one `(item, revision)` and
-/// one graph signature (`eps`, granularity, indexed builder). Build one
+/// one graph signature (`eps`, granularity). Build one
 /// with [`ItemArtifacts::build`], advance it with
 /// [`ItemArtifacts::update`] after an edit, and answer requests with
 /// [`ItemArtifacts::summarize`].
@@ -78,15 +77,6 @@ impl GraphArtifacts {
     }
 }
 
-/// Graph artifacts are cached for the signatures the incremental merge
-/// supports: the indexed builder at group granularity. `Pairs`
-/// granularity compresses duplicates into weights (an append can grow
-/// an *existing* pair's weight, so the pair list is not append-only),
-/// and the naive builder is the oracle the deltas are tested against.
-fn graph_eligible(opts: &BatchOptions) -> bool {
-    opts.graph_impl == GraphImpl::Indexed && opts.granularity != Granularity::Pairs
-}
-
 fn groups_of(ex: &ExtractedItem, granularity: Granularity) -> Vec<Vec<usize>> {
     match granularity {
         Granularity::Pairs => unreachable!("pairs granularity caches no graph artifacts"),
@@ -104,7 +94,7 @@ impl ItemArtifacts {
         item: &Item,
         scratch: &mut WorkerScratch,
     ) -> Self {
-        let extracted = extractor.extract(item, opts.extract_impl, &mut scratch.extract);
+        let extracted = extractor.extract(item, ExtractImpl::Interned, &mut scratch.extract);
         Self::from_extracted(hierarchy, opts, item, extracted, scratch)
     }
 
@@ -113,9 +103,7 @@ impl ItemArtifacts {
     /// item's `ExtractedItem` from the compiled store and seeds the
     /// per-item caches without re-running extraction (extraction is the
     /// dominant boot cost; this is what makes an artifact boot I/O-bound).
-    /// `extracted` must be the full extraction of `item.reviews` —
-    /// extraction bytes are impl-invariant, so artifacts written by either
-    /// extract impl are valid seeds.
+    /// `extracted` must be the full extraction of `item.reviews`.
     pub fn from_extracted(
         hierarchy: &Hierarchy,
         opts: &BatchOptions,
@@ -137,7 +125,11 @@ impl ItemArtifacts {
         opts: &BatchOptions,
         scratch: &mut WorkerScratch,
     ) -> Option<GraphArtifacts> {
-        if !graph_eligible(opts) {
+        // Graph artifacts are cached for the signatures the incremental
+        // merge supports: group granularity. `Pairs` granularity
+        // compresses duplicates into weights (an append can grow an
+        // *existing* pair's weight, so the pair list is not append-only).
+        if opts.granularity == Granularity::Pairs {
             return None;
         }
         let groups = groups_of(ex, opts.granularity);
@@ -198,7 +190,7 @@ impl ItemArtifacts {
             &mut scratch.extract,
         );
         let graph = match &self.graph {
-            Some(prev) if graph_eligible(opts) && prev.matches(opts) => {
+            Some(prev) if prev.matches(opts) => {
                 let groups = groups_of(&extracted, opts.granularity);
                 let (plan, delta) = prev.plan.append(hierarchy, &extracted.pairs, Some(&groups));
                 let (shard, recomputed) = plan.shard_append(
@@ -238,8 +230,8 @@ impl ItemArtifacts {
     /// cached plan and shard and greedy warm-starts from the cached keys;
     /// every other signature rebuilds the graph from the cached
     /// extraction ([`item_graph`]) and solves cold. Both select exactly
-    /// what a cold build of the same extraction does — the naive-graph
-    /// axis of the tests and `osars check` holds the two paths together.
+    /// what a cold naive build of the same extraction does — the
+    /// reference pipeline of the tests and `osars check` holds them to it.
     pub fn summarize(
         &self,
         hierarchy: &Hierarchy,
@@ -267,14 +259,14 @@ impl ItemArtifacts {
                 // (and the rendering reads).
                 let _ = scratch.compress_into(&ex.pairs);
             }
-            let graph = match (&cached, graph_eligible(opts)) {
-                (Some(g), true) => CoverageGraph::assemble(
+            let graph = match cached {
+                Some(g) => CoverageGraph::assemble(
                     &g.plan,
                     opts.granularity,
                     None,
                     std::slice::from_ref(&g.shard),
                 ),
-                _ => item_graph(hierarchy, ex, opts, scratch),
+                None => item_graph(hierarchy, ex, opts, GraphImpl::Indexed, scratch),
             };
             if let Some(t) = trace {
                 t.count("graph.candidates", graph.num_candidates() as u64);
@@ -319,7 +311,7 @@ impl ItemArtifacts {
     /// Whether mergeable graph artifacts are cached for `opts`'
     /// signature (and a greedy request would warm-start).
     pub fn has_graph_for(&self, opts: &BatchOptions) -> bool {
-        graph_eligible(opts) && self.graph.as_ref().is_some_and(|g| g.matches(opts))
+        self.graph.as_ref().is_some_and(|g| g.matches(opts))
     }
 }
 
@@ -350,15 +342,12 @@ mod tests {
             Granularity::Sentences,
             Granularity::Reviews,
         ] {
-            for graph_impl in [GraphImpl::Indexed, GraphImpl::Naive] {
-                for algorithm in [BatchAlgorithm::Greedy, BatchAlgorithm::LazyGreedy] {
-                    all.push(BatchOptions {
-                        granularity,
-                        graph_impl,
-                        algorithm,
-                        ..BatchOptions::default()
-                    });
-                }
+            for algorithm in [BatchAlgorithm::Greedy, BatchAlgorithm::LazyGreedy] {
+                all.push(BatchOptions {
+                    granularity,
+                    algorithm,
+                    ..BatchOptions::default()
+                });
             }
         }
         all
@@ -367,31 +356,32 @@ mod tests {
     #[test]
     fn cached_graph_summaries_match_the_naive_rebuild() {
         // The cached plan/shard path (greedy warm-started from the cached
-        // keys) against the cold fallback: the naive builder caches no
-        // graph artifacts, so it rebuilds the graph and solves cold.
+        // keys) against the naive builder's graph of the same extraction,
+        // solved cold.
         let corpus = corpus();
         let h = &corpus.hierarchy;
         let mut scratch = WorkerScratch::new();
         let extractor = Extractor::from_hierarchy(h);
         for granularity in [Granularity::Sentences, Granularity::Reviews] {
             for algorithm in [BatchAlgorithm::Greedy, BatchAlgorithm::LocalSearch] {
-                let indexed = BatchOptions {
+                let opts = BatchOptions {
                     granularity,
                     algorithm,
                     ..BatchOptions::default()
                 };
-                let naive = BatchOptions {
-                    graph_impl: GraphImpl::Naive,
-                    ..indexed.clone()
-                };
                 for (idx, item) in corpus.items.iter().enumerate() {
-                    let cached = ItemArtifacts::build(h, &extractor, &indexed, item, &mut scratch);
-                    let cold = ItemArtifacts::build(h, &extractor, &naive, item, &mut scratch);
-                    assert!(cached.has_graph_for(&indexed));
-                    assert!(!cold.has_graph_for(&naive));
-                    let got = cached.summarize(h, &indexed, idx, item, &mut scratch, None);
-                    let expect = cold.summarize(h, &naive, idx, item, &mut scratch, None);
-                    assert_eq!(got, expect, "{indexed:?} item {idx}");
+                    let cached = ItemArtifacts::build(h, &extractor, &opts, item, &mut scratch);
+                    assert!(cached.has_graph_for(&opts));
+                    let got = cached.summarize(h, &opts, idx, item, &mut scratch, None);
+                    let ex = cached.extracted();
+                    let graph = item_graph(h, ex, &opts, GraphImpl::Naive, &mut scratch);
+                    let cold = opts
+                        .algorithm
+                        .summarizer(item_seed(opts.corpus_seed, idx as u64))
+                        .summarize(&graph, opts.k);
+                    let expect =
+                        finish_item_summary(h, granularity, idx, item, ex, &[], &[], &graph, cold);
+                    assert_eq!(got, expect, "{opts:?} item {idx}");
                 }
             }
         }
@@ -451,10 +441,11 @@ mod tests {
             ..serving.clone()
         };
         assert!(!art.has_graph_for(&other));
-        let naive = BatchOptions {
-            graph_impl: GraphImpl::Naive,
+        // Pairs granularity caches no graph.
+        let pairs = BatchOptions {
+            granularity: Granularity::Pairs,
             ..serving.clone()
         };
-        assert!(!art.has_graph_for(&naive));
+        assert!(!art.has_graph_for(&pairs));
     }
 }

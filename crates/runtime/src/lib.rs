@@ -893,16 +893,11 @@ pub struct BatchOptions {
     pub algorithm: BatchAlgorithm,
     /// Seed mixed with each item's index for randomized algorithms.
     pub corpus_seed: u64,
-    /// Coverage-graph builder (indexed by default; naive as an oracle).
-    pub graph_impl: GraphImpl,
     /// Ancestor-index implementation the indexed builder walks (dense
     /// closure by default; segmented for SNOMED-scale hierarchies).
     /// Byte-identical output either way — the `osars check` ancestor
     /// axis enforces it.
     pub ancestor_impl: AncestorImpl,
-    /// Extraction implementation (interned by default; naive as an
-    /// oracle).
-    pub extract_impl: ExtractImpl,
     /// Deterministic fault injection: `Some` wraps every item's work in
     /// its planned [`Fault`] (see [`Fault::apply`]). The batch runs the
     /// same code either way; `None` (the default) injects nothing.
@@ -923,9 +918,7 @@ impl Default for BatchOptions {
             granularity: Granularity::Sentences,
             algorithm: BatchAlgorithm::Greedy,
             corpus_seed: 42,
-            graph_impl: GraphImpl::Indexed,
             ancestor_impl: AncestorImpl::Dense,
-            extract_impl: ExtractImpl::Interned,
             fault_plan: None,
             retries: 1,
         }
@@ -988,7 +981,7 @@ pub fn summarize_corpus(corpus: &Corpus, opts: &BatchOptions) -> BatchReport<Ite
                 let summary = {
                     let _root = trace.span("summarize_one");
                     let (ex, _us) = obs.time_traced("extract", Some(&trace), || {
-                        extractor.extract(item, opts.extract_impl, &mut scratch.extract)
+                        extractor.extract(item, ExtractImpl::Interned, &mut scratch.extract)
                     });
                     let (artifacts, _us) = obs.time_traced("graph.build", Some(&trace), || {
                         incremental::ItemArtifacts::from_extracted(h, opts, item, ex, scratch)
@@ -1045,14 +1038,17 @@ pub fn summarize_one(
 }
 
 /// The coverage graph the pipeline solves for one extracted item under
-/// `opts`: weighted pairs at `Pairs` granularity, sentence or review
-/// groups otherwise. At `Pairs` the graph is built over the compressed
-/// pairs [`WorkerScratch::compress_into`] staged in `scratch`, so stage
-/// them first.
+/// `opts`, built by `imp`: weighted pairs at `Pairs` granularity,
+/// sentence or review groups otherwise. At `Pairs` the graph is built
+/// over the compressed pairs [`WorkerScratch::compress_into`] staged in
+/// `scratch`, so stage them first. Production passes
+/// [`GraphImpl::Indexed`]; the naive builder is the reference the tests
+/// and `osars check` compare it with.
 pub fn item_graph(
     hierarchy: &Hierarchy,
     ex: &ExtractedItem,
     opts: &BatchOptions,
+    imp: GraphImpl,
     scratch: &mut WorkerScratch,
 ) -> CoverageGraph {
     let groups = match opts.granularity {
@@ -1062,7 +1058,7 @@ pub fn item_graph(
                 &scratch.pair_buf,
                 &scratch.weight_buf,
                 opts.eps,
-                opts.graph_impl,
+                imp,
                 opts.ancestor_impl,
                 &mut scratch.graph_build,
             )
@@ -1076,16 +1072,17 @@ pub fn item_graph(
         &groups,
         opts.eps,
         opts.granularity,
-        opts.graph_impl,
+        imp,
         opts.ancestor_impl,
         &mut scratch.graph_build,
     )
 }
 
 /// Render the selected candidates and assemble the [`ItemSummary`] —
-/// the tail of [`ItemArtifacts::summarize`](incremental::ItemArtifacts::summarize).
+/// the tail of [`ItemArtifacts::summarize`](incremental::ItemArtifacts::summarize),
+/// shared with the reference pipeline of `osars check`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_item_summary(
+pub fn finish_item_summary(
     hierarchy: &osa_ontology::Hierarchy,
     granularity: Granularity,
     idx: usize,
@@ -1397,8 +1394,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_options_default_uses_indexed_builder() {
-        assert_eq!(BatchOptions::default().graph_impl, GraphImpl::Indexed);
+    fn batch_options_default_injects_no_faults() {
         assert_eq!(BatchOptions::default().fault_plan, None);
     }
 

@@ -7,8 +7,9 @@
 //!
 //! ## Endpoints
 //!
-//! * `GET /summary/{item}?k=..&eps=..&algo=..&granularity=..&graph-impl=..&extract-impl=..`
-//!   — summarize one item. The JSON body's `"text"` field is
+//! * `GET /summary/{item}?k=..&eps=..&algo=..&granularity=..&ancestor-impl=..`
+//!   — summarize one item (an unknown query key answers 400). The JSON
+//!   body's `"text"` field is
 //!   byte-identical to the item's block in `osars summarize --item all`
 //!   output for the same parameters (pinned by the differential tests).
 //! * `POST /reviews` — `{"item": N, "reviews": ["...", {"text": "..."}]}`
@@ -51,8 +52,8 @@
 //! ## Caching and versioned snapshots
 //!
 //! Summaries are cached in an [`lru::LruCache`] keyed by
-//! `(item, item revision, k, eps, algorithm, granularity, graph impl,
-//! extract impl)`. The edited item's **revision** is part of the key,
+//! `(item, item revision, k, eps, algorithm, granularity, ancestor
+//! impl)`. The edited item's **revision** is part of the key,
 //! so a `POST /reviews` to item 7 makes only item 7's older entries
 //! unreachable *by construction* — every other item keeps answering
 //! from cache, and stale summaries age out of the LRU tail.
@@ -84,8 +85,8 @@ use std::time::{Duration, Instant};
 
 use http::{read_request, write_response, ParseError, Request};
 use lru::LruCache;
-use osa_core::{Granularity, GraphImpl};
-use osa_datasets::{Corpus, ExtractImpl, ExtractedItem, Extractor, Item, Review};
+use osa_core::Granularity;
+use osa_datasets::{Corpus, ExtractedItem, Extractor, Item, Review};
 use osa_obs::{Trace, TraceTree};
 use osa_ontology::{AncestorImpl, Hierarchy};
 use osa_runtime::incremental::ItemArtifacts;
@@ -123,9 +124,9 @@ pub struct ServeOptions {
     /// answered `503` and closed immediately. `0` means unlimited.
     pub max_conns: usize,
     /// Default summarization parameters; `GET /summary` query parameters
-    /// override `k`/`eps`/`algorithm`/`granularity`/`graph_impl`/
-    /// `extract_impl` per request. `jobs`, `fault_plan` and `retries`
-    /// are ignored by the daemon.
+    /// override `k`/`eps`/`algorithm`/`granularity`/`ancestor_impl` per
+    /// request. `jobs`, `fault_plan` and `retries` are ignored by the
+    /// daemon.
     pub defaults: BatchOptions,
 }
 
@@ -350,9 +351,7 @@ struct CacheKey {
     eps_bits: u64,
     algo: &'static str,
     granularity: u8,
-    graph: u8,
     ancestor: u8,
-    extract: u8,
 }
 
 fn cache_key(p: &SummaryParams, rev: u64) -> CacheKey {
@@ -363,9 +362,7 @@ fn cache_key(p: &SummaryParams, rev: u64) -> CacheKey {
         eps_bits: p.opts.eps.to_bits(),
         algo: p.opts.algorithm.name(),
         granularity: p.opts.granularity as u8,
-        graph: p.opts.graph_impl as u8,
         ancestor: p.opts.ancestor_impl as u8,
-        extract: p.opts.extract_impl as u8,
     }
 }
 
@@ -844,14 +841,6 @@ fn summary_body(summary: &ItemSummary, params: &SummaryParams, epoch: u64) -> St
             "granularity".to_owned(),
             Value::String(granularity_name(params.opts.granularity).to_owned()),
         ),
-        (
-            "graph-impl".to_owned(),
-            Value::String(params.opts.graph_impl.name().to_owned()),
-        ),
-        (
-            "extract-impl".to_owned(),
-            Value::String(params.opts.extract_impl.name().to_owned()),
-        ),
     ]);
     let obj = Value::Object(vec![
         ("item".to_owned(), Value::Number(summary.item as f64)),
@@ -1047,6 +1036,10 @@ fn respond_healthz(shared: &Shared, w: &mut TcpStream, close: bool) -> (u16, boo
     (200, ok)
 }
 
+/// The query keys `GET /summary/{item}` reads; any other key answers 400.
+const SUMMARY_QUERY_KEYS: [&str; 6] =
+    ["k", "eps", "algo", "granularity", "ancestor-impl", "inject"];
+
 /// Parse and validate `GET /summary/{item}` query parameters against the
 /// daemon defaults.
 fn parse_summary_params(
@@ -1060,6 +1053,16 @@ fn parse_summary_params(
     let item: usize = item_str
         .parse()
         .map_err(|_| HttpError::new(400, format!("bad item index '{item_str}'")))?;
+    if let Some((key, _)) = req
+        .query
+        .iter()
+        .find(|(key, _)| !SUMMARY_QUERY_KEYS.contains(&key.as_str()))
+    {
+        return Err(HttpError::new(
+            400,
+            format!("unknown query parameter '{key}'"),
+        ));
+    }
     let mut opts = defaults.clone();
     opts.jobs = 1;
     opts.fault_plan = None;
@@ -1096,14 +1099,6 @@ fn parse_summary_params(
                 ))
             }
         };
-    }
-    if let Some(gi) = req.query_param("graph-impl") {
-        opts.graph_impl = GraphImpl::from_name(gi)
-            .ok_or_else(|| HttpError::new(400, format!("unknown graph impl '{gi}'")))?;
-    }
-    if let Some(ei) = req.query_param("extract-impl") {
-        opts.extract_impl = ExtractImpl::from_name(ei)
-            .ok_or_else(|| HttpError::new(400, format!("unknown extract impl '{ei}'")))?;
     }
     if let Some(ai) = req.query_param("ancestor-impl") {
         opts.ancestor_impl = AncestorImpl::from_name(ai)
@@ -1566,13 +1561,10 @@ mod tests {
         other.opts.algorithm = BatchAlgorithm::LazyGreedy;
         assert_ne!(k0, cache_key(&other, 0));
         let mut other = base.clone();
-        other.opts.graph_impl = GraphImpl::Naive;
-        assert_ne!(k0, cache_key(&other, 0));
-        let mut other = base.clone();
-        other.opts.ancestor_impl = AncestorImpl::Segmented;
+        other.opts.granularity = Granularity::Reviews;
         assert_ne!(k0, cache_key(&other, 0));
         let mut other = base;
-        other.opts.extract_impl = ExtractImpl::Naive;
+        other.opts.ancestor_impl = AncestorImpl::Segmented;
         assert_ne!(k0, cache_key(&other, 0));
     }
 
@@ -1597,6 +1589,12 @@ mod tests {
         };
         let d = BatchOptions::default();
         assert!(parse_summary_params(&req("/summary/3?k=4&eps=0.25"), &d).is_ok());
+        let every_key =
+            "/summary/3?k=4&eps=0.25&algo=lazy&granularity=reviews&ancestor-impl=segmented&inject=delay:1";
+        assert!(parse_summary_params(&req(every_key), &d).is_ok());
+        let err = parse_summary_params(&req("/summary/3?k=4&graph-impl=naive"), &d).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("'graph-impl'"), "{}", err.message);
         for bad in [
             "/summary/abc",
             "/summary/3?k=x",
@@ -1605,8 +1603,10 @@ mod tests {
             "/summary/3?eps=-1",
             "/summary/3?algo=quantum",
             "/summary/3?granularity=words",
-            "/summary/3?graph-impl=magic",
-            "/summary/3?extract-impl=magic",
+            "/summary/3?graph-impl=naive",
+            "/summary/3?extract-impl=naive",
+            "/summary/3?k=4&kk=5",
+            "/summary/3?ancestor-impl=magic",
             "/summary/3?inject=fire",
             "/summary/3?inject=delay:x",
         ] {

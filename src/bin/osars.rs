@@ -4,16 +4,15 @@
 //! osars generate      --domain doctors|phones [--scale small|full|large|huge] [--seed N] --out FILE
 //! osars stats         --corpus FILE
 //! osars hierarchy     --corpus FILE
-//! osars compile       (--corpus FILE | --domain D) --out FILE [--extract-impl I]
+//! osars compile       (--corpus FILE | --domain D) --out FILE
 //! osars summarize     (--corpus FILE | --domain D | --artifacts FILE) [--item I] [--k K] [--eps E]
 //!                     [--granularity pairs|sentences|reviews]
 //!                     [--algorithm greedy|lazy|ilp|rr|local-search]
-//!                     [--graph-impl indexed|naive] [--extract-impl interned|naive]
 //!                     [--ancestor-impl dense|segmented]
 //!                     [--jobs N] [--metrics FILE] [--trace] [--trace-out FILE]
 //! osars evaluate      (--corpus FILE | --domain D) [--k K] [--eps E] [--items N]
-//!                     [--extract-impl interned|naive] [--metrics FILE] [--trace]
-//! osars check         [--seed N] [--cases N] [--faults] [--ancestor-impl I]
+//!                     [--metrics FILE] [--trace]
+//! osars check         [--seed N] [--cases N] [--faults] [--edits] [--ancestor-impl I]
 //!                     [--case-out FILE] [--replay FILE]
 //! osars check-metrics --metrics FILE
 //! osars bench-ontology [--nodes N] [--levels N] [--pairs N] [--out FILE]
@@ -29,7 +28,10 @@
 //! `osa_datasets::save_corpus`); `summarize`/`evaluate` can also
 //! synthesize one in memory straight from `--domain`/`--scale`/`--seed`.
 //! Everything is deterministic given `--seed` — observability (`--metrics`,
-//! `--trace`) only observes, it never perturbs outputs.
+//! `--trace`) only observes, it never perturbs outputs. A flag the
+//! subcommand does not read is refused. The runtime always runs the
+//! interned extractor and the indexed graph builder; their naive twins
+//! are reached only through `osars check` and the tests.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -40,8 +42,8 @@ use osars::baselines::{
     LexRank, LsaSummarizer, MostPopular, Proportional, SentenceRecord, SentenceSelector, TextRank,
 };
 use osars::core::{
-    explain, CoverageGraph, Granularity, GraphImpl, GreedySummarizer, IlpSummarizer,
-    LazyGreedySummarizer, LocalSearchSummarizer, Pair, RandomizedRounding, Summarizer,
+    explain, CoverageGraph, Granularity, GreedySummarizer, IlpSummarizer, LazyGreedySummarizer,
+    LocalSearchSummarizer, Pair, RandomizedRounding, Summarizer,
 };
 use osars::datasets::{
     load_corpus, save_corpus, table1_stats, Corpus, CorpusConfig, ExtractImpl, ExtractedItem,
@@ -68,31 +70,59 @@ fn main() -> ExitCode {
     }
 }
 
+type Command = fn(&HashMap<String, String>) -> Result<(), String>;
+
 fn run(args: &[String]) -> Result<(), String> {
     let Some(command) = args.first() else {
         print_help();
         return Ok(());
     };
-    let flags = parse_flags(&args[1..])?;
-    match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "stats" => cmd_stats(&flags),
-        "hierarchy" => cmd_hierarchy(&flags),
-        "summarize" => with_obs(&flags, cmd_summarize),
-        "evaluate" => with_obs(&flags, cmd_evaluate),
-        "check" => with_obs(&flags, cmd_check),
-        "check-metrics" => cmd_check_metrics(&flags),
-        "compile" => with_obs(&flags, cmd_compile),
-        "bench-incremental" => cmd_bench_incremental(&flags),
-        "bench-ontology" => cmd_bench_ontology(&flags),
-        "serve" => cmd_serve(&flags),
-        "loadgen" => cmd_loadgen(&flags),
-        "help" | "--help" | "-h" => {
+    // Each command with the flags it reads, space-separated.
+    let (known, body): (&str, Command) = match command.as_str() {
+        "generate" => ("domain scale seed out", cmd_generate),
+        "stats" => ("corpus domain scale seed", cmd_stats),
+        "hierarchy" => ("corpus domain scale seed", cmd_hierarchy),
+        "summarize" => (
+            "corpus domain scale seed artifacts item k eps granularity algorithm ancestor-impl \
+             focus explain jobs metrics trace trace-out",
+            |f| with_obs(f, cmd_summarize),
+        ),
+        "evaluate" => (
+            "corpus domain scale seed k eps items jobs metrics trace",
+            |f| with_obs(f, cmd_evaluate),
+        ),
+        "check" => (
+            "seed cases faults edits ancestor-impl case-out replay metrics trace",
+            |f| with_obs(f, cmd_check),
+        ),
+        "check-metrics" => ("metrics", cmd_check_metrics),
+        "compile" => ("corpus domain scale seed out metrics trace", |f| {
+            with_obs(f, cmd_compile)
+        }),
+        "bench-incremental" => (
+            "corpus domain scale seed updates k eps algorithm granularity ancestor-impl out",
+            cmd_bench_incremental,
+        ),
+        "bench-ontology" => (
+            "nodes levels pairs seed domain scale ancestor-impl out",
+            cmd_bench_ontology,
+        ),
+        "serve" => (
+            "corpus domain scale seed artifacts addr workers queue-depth deadline-ms cache warm \
+             slow-ms conn-timeout-ms max-conns k eps algorithm granularity ancestor-impl",
+            cmd_serve,
+        ),
+        "loadgen" => (
+            "addr conns rps duration-secs panic-every query out",
+            cmd_loadgen,
+        ),
+        "help" | "--help" | "-h" => ("", |_| {
             print_help();
             Ok(())
-        }
-        other => Err(format!("unknown command '{other}'")),
-    }
+        }),
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    body(&parse_flags(command, known, &args[1..])?)
 }
 
 fn print_help() {
@@ -104,19 +134,17 @@ USAGE:
   osars stats         --corpus FILE
   osars hierarchy     --corpus FILE
   osars compile       (--corpus FILE | --domain D [--scale S] [--seed N])
-                      --out FILE [--extract-impl interned|naive]
+                      --out FILE
   osars summarize     (--corpus FILE | --domain doctors|phones [--scale small|full|large|huge] [--seed N]
                        | --artifacts FILE)
                       [--item I|all] [--k K] [--eps E]
                       [--granularity pairs|sentences|reviews]
                       [--algorithm greedy|lazy|ilp|rr|local-search]
-                      [--graph-impl indexed|naive] [--extract-impl interned|naive]
                       [--ancestor-impl dense|segmented]
                       [--focus CONCEPT] [--explain true] [--jobs N]
                       [--metrics FILE] [--trace] [--trace-out FILE]
   osars evaluate      (--corpus FILE | --domain D [--scale S] [--seed N])
                       [--k K] [--eps E] [--items N] [--jobs N]
-                      [--extract-impl interned|naive]
                       [--metrics FILE] [--trace]
   osars check         [--seed N] [--cases N] [--faults] [--edits]
                       [--ancestor-impl dense|segmented]
@@ -126,58 +154,58 @@ USAGE:
   osars bench-incremental
                       (--corpus FILE | --domain D [--scale S] [--seed N])
                       [--updates N] [--k K] [--eps E] [--algorithm A]
-                      [--granularity G] [--graph-impl I] [--extract-impl I]
-                      [--out FILE]
+                      [--granularity G] [--ancestor-impl I] [--out FILE]
   osars bench-ontology
                       [--nodes N] [--levels N] [--pairs N] [--seed N]
-                      [--domain D] [--scale S] [--out FILE]
+                      [--domain D] [--scale S] [--ancestor-impl I]
+                      [--out FILE]
   osars serve         (--corpus FILE | --domain D [--scale S] [--seed N]
                        | --artifacts FILE)
                       [--addr HOST:PORT] [--workers N] [--queue-depth N]
                       [--deadline-ms N] [--cache N] [--warm] [--slow-ms N]
                       [--conn-timeout-ms N] [--max-conns N]
                       [--k K] [--eps E] [--algorithm A]
-                      [--granularity G] [--graph-impl I] [--extract-impl I]
-                      [--ancestor-impl I]
+                      [--granularity G] [--ancestor-impl I]
   osars loadgen       --addr HOST:PORT [--conns C] [--rps N]
                       [--duration-secs S] [--panic-every N] [--query Q]
                       [--out FILE]
 
 DEFAULTS: --scale small --seed 42 --item 0 --k 5 --eps 0.5
           --granularity sentences --algorithm greedy --items 5 --jobs 1
-          --graph-impl indexed --extract-impl interned --cases 25
-          --ancestor-impl dense
+          --cases 25 --ancestor-impl dense
+FLAGS:    a flag the subcommand does not read is an error
 FOCUS:    restricts the summary to one concept's subtree
           (e.g. --focus battery on a phone corpus)
 JOBS:     --item all batches every item over N worker threads (0 = all
           cores); results are byte-identical for any N — timing stats go
           to stderr
-GRAPH:    --graph-impl selects the Section 4.1 coverage-graph builder:
-          'indexed' (ancestor-closure index + sorted sentiment windows,
-          parallel over --jobs) or 'naive' (the slow oracle); both yield
-          byte-identical output
+GRAPH:    the Section 4.1 coverage graph is built from the ancestor
+          index and sentiment-sorted windows (the single-item path
+          splits it over --jobs); the naive upward-BFS builder is kept
+          as the oracle that `check` and the tests compare it with
 CHECK:    seeded differential-testing harness: generates --cases
-          scenarios from --seed, runs each across every graph/extract
-          impl, --jobs 1|3|8, and all four summarizers, and asserts the
-          paper-level invariants; --faults adds deterministic fault
-          injection (per-item panics, NaN corruption, delays) and
-          asserts the batch engine isolates them; --edits adds the
-          incremental-vs-rebuild oracle: seeded append/retract edit
-          scripts whose incrementally updated summaries must be
-          byte-identical to a from-scratch rebuild across every
-          graph impl, summarizer and --jobs; a failing case is
-          shrunk to a minimal instance and written to --case-out
-          (default check-case.json), replayable with --replay FILE
+          scenarios from --seed, runs each at --jobs 1|3|8 against a
+          reference pipeline of the naive extractor and graph builder
+          solved cold, across both ancestor impls and all four
+          summarizers, and asserts the paper-level invariants; --faults
+          adds deterministic fault injection (per-item panics, NaN
+          corruption, delays) and asserts the batch engine isolates
+          them; --edits adds the incremental-vs-rebuild oracle: seeded
+          append/retract edit scripts whose incrementally updated
+          summaries must be byte-identical to a from-scratch rebuild at
+          every --jobs; a failing case is shrunk to a minimal instance
+          and written to --case-out (default check-case.json),
+          replayable with --replay FILE
 BENCH:    bench-incremental replays --updates seeded edits through the
           incremental per-item artifact path (what `POST /reviews`
           uses) and through a full recompute of every item (the
           pre-incremental baseline), asserts both render identically,
           and writes p50/p95 latencies + speedup to --out (default
           BENCH_incremental.json)
-EXTRACT:  --extract-impl selects the opinion-extraction hot path:
-          'interned' (token interner + Aho–Corasick concept automaton +
-          memoized stem cache) or 'naive' (the per-position trie walk
-          kept as the oracle); both yield byte-identical output
+EXTRACT:  opinion extraction runs a token interner, an Aho–Corasick
+          concept automaton and a memoized stem cache; the per-position
+          trie walk is kept as the oracle that `check` and the tests
+          compare it with
 ANCESTOR: --ancestor-impl selects the ancestor-query index behind the
           coverage-graph builder: 'dense' (materialized CSR transitive
           closure, the oracle) or 'segmented' (compressed reachability
@@ -202,10 +230,10 @@ METRICS:  --metrics FILE streams per-stage span events plus a final
           tree(s) as Chrome trace_event JSON (open in a trace viewer);
           none of them changes what is written to stdout
 SERVE:    loads the corpus once and answers GET /summary/{{item}} (with
-          k/eps/algo/granularity/graph-impl/extract-impl query params),
-          POST /reviews (incremental ingest: only the edited item's
-          revision bumps, its artifacts update in place, and every
-          other item keeps answering from cache), GET /metrics
+          k/eps/algo/granularity/ancestor-impl query params; any other
+          key answers 400), POST /reviews (incremental ingest: only the
+          edited item's revision bumps, its artifacts update in place,
+          and every other item keeps answering from cache), GET /metrics
           (Prometheus text), GET /healthz; requests run on --workers
           threads behind a --queue-depth admission queue (503 on
           overflow, 504 past --deadline-ms), with an LRU summary cache
@@ -229,7 +257,14 @@ LOADGEN:  drives a running daemon with --conns keep-alive connections at
 
 // --- flag parsing ---------------------------------------------------------
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parse `--name value` pairs, refusing any flag not in the
+/// space-separated `known` list of `command` (a typo, or a flag that no
+/// longer exists, would otherwise be silently ignored).
+fn parse_flags(
+    command: &str,
+    known: &str,
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -237,6 +272,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --flag, got '{key}'"));
         };
+        if !known.split_whitespace().any(|k| k == name) {
+            return Err(format!("unknown flag --{name} for `osars {command}`"));
+        }
         // `--trace`, `--faults`, `--edits` and `--warm` are bare
         // switches; an explicit `true|false` value is also accepted for
         // scripting symmetry.
@@ -372,10 +410,7 @@ impl ObsSession {
 
 /// Run `body` inside an [`ObsSession`]; the snapshot is flushed even
 /// when the command fails, so partial runs still leave usable metrics.
-fn with_obs(
-    flags: &HashMap<String, String>,
-    body: fn(&HashMap<String, String>) -> Result<(), String>,
-) -> Result<(), String> {
+fn with_obs(flags: &HashMap<String, String>, body: Command) -> Result<(), String> {
     let session = ObsSession::from_flags(flags)?;
     let result = body(flags);
     session.finish();
@@ -424,7 +459,7 @@ fn build_corpus(domain: &str, scale: &str, seed: u64) -> Result<Corpus, String> 
     })
 }
 
-fn extract(corpus: &Corpus, item: usize, which: ExtractImpl) -> Result<ExtractedItem, String> {
+fn extract(corpus: &Corpus, item: usize) -> Result<ExtractedItem, String> {
     let item = corpus.items.get(item).ok_or_else(|| {
         format!(
             "item {item} out of range (corpus has {})",
@@ -433,7 +468,7 @@ fn extract(corpus: &Corpus, item: usize, which: ExtractImpl) -> Result<Extracted
     })?;
     let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
     let mut scratch = ExtractScratch::default();
-    Ok(extractor.extract(item, which, &mut scratch))
+    Ok(extractor.extract(item, ExtractImpl::Interned, &mut scratch))
 }
 
 fn algorithm(name: &str) -> Result<Box<dyn Summarizer>, String> {
@@ -485,7 +520,6 @@ fn cmd_hierarchy(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), String> {
     let corpus = open_corpus(flags)?;
     let out = PathBuf::from(required(flags, "out")?);
-    let extract_impl = parse_extract_impl(flags)?;
     let obs = osars::obs::global();
     let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
     let mut scratch = ExtractScratch::default();
@@ -493,7 +527,7 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), String> {
         corpus
             .items
             .iter()
-            .map(|it| extractor.extract(it, extract_impl, &mut scratch))
+            .map(|it| extractor.extract(it, ExtractImpl::Interned, &mut scratch))
             .collect::<Vec<ExtractedItem>>()
     });
     let bytes = osars::artifact::write_artifact(&out, &corpus, &extracted)
@@ -517,24 +551,6 @@ fn parse_granularity(name: &str) -> Result<Granularity, String> {
     }
 }
 
-fn parse_graph_impl(flags: &HashMap<String, String>) -> Result<GraphImpl, String> {
-    match flag(flags, "graph-impl") {
-        None => Ok(GraphImpl::default()),
-        Some(name) => {
-            GraphImpl::from_name(name).ok_or_else(|| format!("unknown graph impl '{name}'"))
-        }
-    }
-}
-
-fn parse_extract_impl(flags: &HashMap<String, String>) -> Result<ExtractImpl, String> {
-    match flag(flags, "extract-impl") {
-        None => Ok(ExtractImpl::default()),
-        Some(name) => {
-            ExtractImpl::from_name(name).ok_or_else(|| format!("unknown extract impl '{name}'"))
-        }
-    }
-}
-
 fn parse_ancestor_impl(flags: &HashMap<String, String>) -> Result<AncestorImpl, String> {
     match flag(flags, "ancestor-impl") {
         None => Ok(AncestorImpl::default()),
@@ -544,6 +560,26 @@ fn parse_ancestor_impl(flags: &HashMap<String, String>) -> Result<AncestorImpl, 
     }
 }
 
+/// The per-item pipeline options every command that runs the pipeline
+/// reads: `--k`, `--eps`, `--granularity`, `--algorithm` (default
+/// `default_algorithm`), `--seed` and `--ancestor-impl`.
+fn batch_options(
+    flags: &HashMap<String, String>,
+    default_algorithm: &str,
+) -> Result<BatchOptions, String> {
+    let algorithm_name = flag(flags, "algorithm").unwrap_or(default_algorithm);
+    Ok(BatchOptions {
+        k: parse_num(flags, "k", 5)?,
+        eps: parse_eps(flags)?,
+        granularity: parse_granularity(flag(flags, "granularity").unwrap_or("sentences"))?,
+        algorithm: BatchAlgorithm::from_name(algorithm_name)
+            .ok_or_else(|| format!("unknown algorithm '{algorithm_name}'"))?,
+        corpus_seed: parse_num(flags, "seed", 42)?,
+        ancestor_impl: parse_ancestor_impl(flags)?,
+        ..BatchOptions::default()
+    })
+}
+
 /// `--item all`: batch-summarize the whole corpus on a worker pool.
 /// Summaries go to stdout (byte-identical for any `--jobs`), throughput
 /// and latency stats to stderr (inherently run-dependent).
@@ -551,19 +587,9 @@ fn cmd_summarize_batch(corpus: &Corpus, flags: &HashMap<String, String>) -> Resu
     if flag(flags, "focus").is_some() {
         return Err("--focus is not supported with --item all".to_owned());
     }
-    let algorithm_name = flag(flags, "algorithm").unwrap_or("greedy");
     let opts = BatchOptions {
         jobs: parse_num(flags, "jobs", 1)?,
-        k: parse_num(flags, "k", 5)?,
-        eps: parse_eps(flags)?,
-        granularity: parse_granularity(flag(flags, "granularity").unwrap_or("sentences"))?,
-        algorithm: BatchAlgorithm::from_name(algorithm_name)
-            .ok_or_else(|| format!("unknown algorithm '{algorithm_name}'"))?,
-        corpus_seed: parse_num(flags, "seed", 42)?,
-        graph_impl: parse_graph_impl(flags)?,
-        extract_impl: parse_extract_impl(flags)?,
-        ancestor_impl: parse_ancestor_impl(flags)?,
-        ..BatchOptions::default()
+        ..batch_options(flags, "greedy")?
     };
     // Every item is traced; --trace-out only writes the trees out, so
     // stdout is byte-identical either way.
@@ -616,19 +642,7 @@ fn cmd_summarize_artifacts(path: &str, flags: &HashMap<String, String>) -> Resul
     if matches!(flag(flags, "item"), Some(it) if it != "all") {
         return Err("--artifacts renders every item; drop --item or pass --item all".to_owned());
     }
-    let algorithm_name = flag(flags, "algorithm").unwrap_or("greedy");
-    let opts = BatchOptions {
-        k: parse_num(flags, "k", 5)?,
-        eps: parse_eps(flags)?,
-        granularity: parse_granularity(flag(flags, "granularity").unwrap_or("sentences"))?,
-        algorithm: BatchAlgorithm::from_name(algorithm_name)
-            .ok_or_else(|| format!("unknown algorithm '{algorithm_name}'"))?,
-        corpus_seed: parse_num(flags, "seed", 42)?,
-        graph_impl: parse_graph_impl(flags)?,
-        extract_impl: parse_extract_impl(flags)?,
-        ancestor_impl: parse_ancestor_impl(flags)?,
-        ..BatchOptions::default()
-    };
+    let opts = batch_options(flags, "greedy")?;
     let sw = Stopwatch::start();
     let art = osars::artifact::read_artifact(Path::new(path))
         .map_err(|e| format!("loading artifact '{path}': {e}"))?;
@@ -675,10 +689,9 @@ fn cmd_summarize(flags: &HashMap<String, String>) -> Result<(), String> {
     let trace = trace_out.map(|_| osars::obs::Trace::new(item as u64));
     let mut root_span = trace.as_ref().map(|t| t.span("summarize"));
 
-    let extract_impl = parse_extract_impl(flags)?;
     let (extracted, _) = {
         let _tspan = trace.as_ref().map(|t| t.span("extract"));
-        obs.time("extract", || extract(&corpus, item, extract_impl))
+        obs.time("extract", || extract(&corpus, item))
     };
     let mut ex = extracted?;
 
@@ -717,49 +730,18 @@ fn cmd_summarize(flags: &HashMap<String, String>) -> Result<(), String> {
     };
 
     let gran = parse_granularity(granularity)?;
-    let graph_impl = parse_graph_impl(flags)?;
     let ancestor = parse_ancestor_impl(flags)?;
     let jobs: usize = parse_num(flags, "jobs", 1)?;
     let graph_span = trace.as_ref().map(|t| t.span("graph.build"));
-    let (graph, _) = obs.time("graph.build", || match (graph_impl, gran) {
-        (GraphImpl::Indexed, Granularity::Pairs) => {
-            par_for_pairs_ancestor(&hierarchy, &ex.pairs, eps, ancestor, jobs)
-        }
-        (GraphImpl::Indexed, Granularity::Sentences) => par_for_groups_ancestor(
-            &hierarchy,
-            &ex.pairs,
-            &ex.sentence_groups(),
-            eps,
-            Granularity::Sentences,
-            ancestor,
-            jobs,
-        ),
-        (GraphImpl::Indexed, Granularity::Reviews) => par_for_groups_ancestor(
-            &hierarchy,
-            &ex.pairs,
-            &ex.review_groups(),
-            eps,
-            Granularity::Reviews,
-            ancestor,
-            jobs,
-        ),
-        (GraphImpl::Naive, Granularity::Pairs) => {
-            CoverageGraph::for_pairs_naive(&hierarchy, &ex.pairs, eps)
-        }
-        (GraphImpl::Naive, Granularity::Sentences) => CoverageGraph::for_groups_naive(
-            &hierarchy,
-            &ex.pairs,
-            &ex.sentence_groups(),
-            eps,
-            Granularity::Sentences,
-        ),
-        (GraphImpl::Naive, Granularity::Reviews) => CoverageGraph::for_groups_naive(
-            &hierarchy,
-            &ex.pairs,
-            &ex.review_groups(),
-            eps,
-            Granularity::Reviews,
-        ),
+    let (graph, _) = obs.time("graph.build", || {
+        let groups = match gran {
+            Granularity::Pairs => {
+                return par_for_pairs_ancestor(&hierarchy, &ex.pairs, eps, ancestor, jobs)
+            }
+            Granularity::Sentences => ex.sentence_groups(),
+            Granularity::Reviews => ex.review_groups(),
+        };
+        par_for_groups_ancestor(&hierarchy, &ex.pairs, &groups, eps, gran, ancestor, jobs)
     });
     drop(graph_span);
     let (summary, micros) = {
@@ -836,7 +818,6 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
     let items: usize = parse_num(flags, "items", 5)?;
     let items = items.min(corpus.items.len());
 
-    let extract_impl = parse_extract_impl(flags)?;
     let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
     let make_baselines = || -> Vec<Box<dyn SentenceSelector>> {
         vec![
@@ -864,7 +845,7 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
             let obs = osars::obs::global();
             let baselines = make_baselines();
             let (ex, _) = obs.time("extract", || {
-                extractor.extract(item, extract_impl, &mut scratch.extract)
+                extractor.extract(item, ExtractImpl::Interned, &mut scratch.extract)
             });
             let records: Vec<SentenceRecord> = ex
                 .sentences
@@ -974,19 +955,7 @@ fn cmd_bench_incremental(flags: &HashMap<String, String>) -> Result<(), String> 
 
     let mut corpus = open_corpus(flags)?;
     let original = corpus.clone();
-    let algorithm_name = flag(flags, "algorithm").unwrap_or("lazy");
-    let opts = BatchOptions {
-        k: parse_num(flags, "k", 5)?,
-        eps: parse_eps(flags)?,
-        granularity: parse_granularity(flag(flags, "granularity").unwrap_or("sentences"))?,
-        algorithm: BatchAlgorithm::from_name(algorithm_name)
-            .ok_or_else(|| format!("unknown algorithm '{algorithm_name}'"))?,
-        corpus_seed: parse_num(flags, "seed", 42)?,
-        graph_impl: parse_graph_impl(flags)?,
-        extract_impl: parse_extract_impl(flags)?,
-        ancestor_impl: parse_ancestor_impl(flags)?,
-        ..BatchOptions::default()
-    };
+    let opts = batch_options(flags, "lazy")?;
     let updates: usize = parse_num(flags, "updates", 40)?;
     let seed: u64 = parse_num(flags, "seed", 42)?;
 
@@ -1526,19 +1495,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(_) => None,
         None => Some(open_corpus(flags)?),
     };
-    let algorithm_name = flag(flags, "algorithm").unwrap_or("greedy");
-    let defaults = BatchOptions {
-        k: parse_num(flags, "k", 5)?,
-        eps: parse_eps(flags)?,
-        granularity: parse_granularity(flag(flags, "granularity").unwrap_or("sentences"))?,
-        algorithm: BatchAlgorithm::from_name(algorithm_name)
-            .ok_or_else(|| format!("unknown algorithm '{algorithm_name}'"))?,
-        corpus_seed: parse_num(flags, "seed", 42)?,
-        graph_impl: parse_graph_impl(flags)?,
-        extract_impl: parse_extract_impl(flags)?,
-        ancestor_impl: parse_ancestor_impl(flags)?,
-        ..BatchOptions::default()
-    };
+    let defaults = batch_options(flags, "greedy")?;
     let opts = osars::serve::ServeOptions {
         workers: parse_num(flags, "workers", 0)?,
         queue_depth: parse_num(flags, "queue-depth", 128)?,

@@ -259,22 +259,52 @@ fn help_lists_observability_flags() {
         "--domain",
         "--jobs N",
         "METRICS:",
-        "--graph-impl indexed|naive",
-        "--extract-impl interned|naive",
+        "--ancestor-impl dense|segmented",
+        "GRAPH:",
         "EXTRACT:",
         "small|full|large",
     ] {
         assert!(text.contains(needle), "help is missing '{needle}':\n{text}");
     }
+    // The oracle implementations are not production flags.
+    for gone in ["--graph-impl", "--extract-impl"] {
+        assert!(!text.contains(gone), "help still lists '{gone}':\n{text}");
+    }
+}
+
+/// Run `osars summarize` with `args` and return its stdout.
+fn summarize_stdout(args: &[&str]) -> String {
+    let out = osars(&[&["summarize"], args].concat());
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("UTF-8 stdout")
+}
+
+/// What `osars summarize --item all` must print for `corpus` under
+/// `opts`: the reference pipeline of `osars check` (naive extraction,
+/// naive graph build, cold solve), rendered item by item.
+fn naive_pipeline_text(
+    corpus: &osars::datasets::Corpus,
+    opts: &osars::runtime::BatchOptions,
+) -> String {
+    osars::check::oracle::naive_pipeline(corpus, opts)
+        .iter()
+        .map(osars::runtime::render_item_summary)
+        .collect()
 }
 
 #[test]
 fn graph_impls_produce_byte_identical_stdout() {
     // The indexed/parallel builder is a drop-in for the naive oracle:
     // whole-corpus summaries must match byte-for-byte, for any --jobs.
-    let run = |graph_impl: &str, jobs: &str| {
-        let out = osars(&[
-            "summarize",
+    use osars::core::Granularity;
+    use osars::datasets::{Corpus, CorpusConfig};
+    use osars::runtime::BatchOptions;
+    let run = |jobs: &str| {
+        summarize_stdout(&[
             "--domain",
             "phones",
             "--scale",
@@ -283,21 +313,19 @@ fn graph_impls_produce_byte_identical_stdout() {
             "all",
             "--granularity",
             "pairs",
-            "--graph-impl",
-            graph_impl,
             "--jobs",
             jobs,
-        ]);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
+        ])
     };
-    let naive = run("naive", "1");
-    assert_eq!(naive, run("indexed", "1"), "indexed != naive");
-    assert_eq!(naive, run("indexed", "8"), "indexed(jobs=8) != naive");
+    let naive = naive_pipeline_text(
+        &Corpus::phones(&CorpusConfig::phones_small(), 42),
+        &BatchOptions {
+            granularity: Granularity::Pairs,
+            ..BatchOptions::default()
+        },
+    );
+    assert_eq!(run("1"), naive, "indexed != naive");
+    assert_eq!(run("8"), naive, "indexed(jobs=8) != naive");
 }
 
 #[test]
@@ -305,83 +333,100 @@ fn extract_impls_produce_byte_identical_stdout() {
     // The interned automaton pipeline is a drop-in for the naive
     // trie-walk oracle on both summarize paths: whole-corpus batch
     // summaries for any --jobs, and the single-item path.
-    let batch = |extract_impl: &str, jobs: &str| {
-        let out = osars(&[
-            "summarize",
-            "--domain",
-            "phones",
-            "--scale",
-            "small",
-            "--item",
-            "all",
-            "--extract-impl",
-            extract_impl,
-            "--jobs",
-            jobs,
-        ]);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
+    use osars::datasets::{Corpus, CorpusConfig};
+    use osars::runtime::BatchOptions;
+    let batch = |jobs: &str| {
+        summarize_stdout(&[
+            "--domain", "phones", "--scale", "small", "--item", "all", "--jobs", jobs,
+        ])
     };
-    let naive = batch("naive", "1");
-    assert_eq!(naive, batch("interned", "1"), "interned != naive");
-    assert_eq!(naive, batch("interned", "8"), "interned(jobs=8) != naive");
+    let naive = naive_pipeline_text(
+        &Corpus::phones(&CorpusConfig::phones_small(), 42),
+        &BatchOptions::default(),
+    );
+    assert_eq!(batch("1"), naive, "interned != naive");
+    assert_eq!(batch("8"), naive, "interned(jobs=8) != naive");
 
     // The single-item path prints the solver's wall-clock µs on the
-    // header line; mask that (it varies run to run, for any impl) and
-    // require everything else — candidate counts, costs, sentences — to
-    // match exactly.
-    let single = |extract_impl: &str| {
-        let out = osars(&[
-            "summarize",
-            "--domain",
-            "doctors",
-            "--scale",
-            "small",
-            "--item",
-            "0",
-            "--extract-impl",
-            extract_impl,
-        ]);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = String::from_utf8(out.stdout).unwrap();
-        text.lines()
-            .map(|l| match (l.find(" in "), l.find("µs;")) {
-                (Some(a), Some(b)) if a < b => {
-                    format!("{} in _µs;{}", &l[..a], &l[b + "µs;".len()..])
-                }
-                _ => l.to_owned(),
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(
-        single("naive"),
-        single("interned"),
-        "single-item interned != naive"
+    // header line; mask that (it varies run to run) and require
+    // everything else — candidate counts, costs, sentences — to match
+    // the oracle's item 0 exactly.
+    let single = summarize_stdout(&["--domain", "doctors", "--scale", "small", "--item", "0"])
+        .lines()
+        .map(|l| match (l.find(" in "), l.find("µs;")) {
+            (Some(a), Some(b)) if a < b => {
+                format!("{} in _µs;{}", &l[..a], &l[b + "µs;".len()..])
+            }
+            _ => l.to_owned(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    let mut doctors = Corpus::doctors(&CorpusConfig::doctors_small(), 42);
+    doctors.items.truncate(1);
+    let oracle = &osars::check::oracle::naive_pipeline(&doctors, &BatchOptions::default())[0];
+    let mut expect = format!(
+        "greedy selected {} of {} candidates in _µs; cost {} (root-only {})",
+        oracle.summary.selected.len(),
+        oracle.num_candidates,
+        oracle.summary.cost,
+        oracle.root_cost
     );
+    for line in &oracle.rendered {
+        expect.push_str(&format!("\n  • {line}"));
+    }
+    assert_eq!(single, expect, "single-item interned != naive");
+}
+
+/// Assert `osars args..` exits 1 naming `flag` as unknown for its
+/// subcommand.
+fn assert_unknown_flag(args: &[&str], flag: &str) {
+    let out = osars(args);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let want = format!("unknown flag {flag} for `osars {}`", args[0]);
+    assert!(stderr.contains(&want), "{args:?}: {stderr}");
 }
 
 #[test]
 fn unknown_extract_impl_is_rejected() {
-    let out = osars(&[
+    // The naive extractor is an oracle, not a production flag: every
+    // subcommand that once took `--extract-impl` refuses it.
+    for command in [
         "summarize",
-        "--domain",
-        "phones",
-        "--scale",
-        "small",
-        "--extract-impl",
-        "telepathic",
-    ]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown extract impl"));
+        "compile",
+        "evaluate",
+        "bench-incremental",
+        "serve",
+    ] {
+        assert_unknown_flag(
+            &[command, "--domain", "phones", "--extract-impl", "naive"],
+            "--extract-impl",
+        );
+    }
+}
+
+#[test]
+fn unknown_graph_impl_is_rejected() {
+    for command in ["summarize", "bench-incremental", "serve"] {
+        assert_unknown_flag(
+            &[command, "--domain", "phones", "--graph-impl", "naive"],
+            "--graph-impl",
+        );
+    }
+}
+
+#[test]
+fn misspelled_and_misplaced_flags_are_rejected() {
+    assert_unknown_flag(
+        &["summarize", "--domain", "phones", "--granulrity", "pairs"],
+        "--granulrity",
+    );
+    assert_unknown_flag(
+        &["summarize", "--domain", "phones", "--bogus-flag", "1"],
+        "--bogus-flag",
+    );
+    // A flag another subcommand reads is still unknown here.
+    assert_unknown_flag(&["stats", "--domain", "phones", "--jobs", "2"], "--jobs");
 }
 
 #[test]
@@ -432,21 +477,6 @@ fn extract_counters_are_reported_and_jobs_invariant() {
         assert!(a.is_some(), "no '{counter}' counter in:\n{j1}");
         assert_eq!(a, line_of(&j8), "'{counter}' depends on --jobs");
     }
-}
-
-#[test]
-fn unknown_graph_impl_is_rejected() {
-    let out = osars(&[
-        "summarize",
-        "--domain",
-        "phones",
-        "--scale",
-        "small",
-        "--graph-impl",
-        "quantum",
-    ]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown graph impl"));
 }
 
 #[test]

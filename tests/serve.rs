@@ -86,8 +86,9 @@ fn epoch_of(body: &str) -> u64 {
 // --- served-vs-CLI differential --------------------------------------------
 
 /// Concatenating the served `"text"` fields over every item must equal
-/// `osars summarize --item all` stdout byte-for-byte, for every
-/// graph-impl × extract-impl combination and any `--jobs`.
+/// `osars summarize --item all` stdout byte-for-byte at any `--jobs`,
+/// and both must equal the reference pipeline of `osars check` (naive
+/// extraction, naive graph build, cold solve).
 #[test]
 fn served_summaries_match_cli_stdout_across_impls() {
     let handle = start(ServeOptions::default());
@@ -100,12 +101,25 @@ fn served_summaries_match_cli_stdout_across_impls() {
         .expect("item count") as usize;
     assert!(items > 0);
 
-    for (graph, extract, jobs) in [
-        ("indexed", "interned", "1"),
-        ("indexed", "naive", "3"),
-        ("naive", "interned", "8"),
-        ("naive", "naive", "1"),
-    ] {
+    let mut served = String::new();
+    for item in 0..items {
+        let (status, _, body) = get(addr, &format!("/summary/{item}"));
+        assert_eq!(status, 200, "item {item}: {body}");
+        served.push_str(&summary_text(&body));
+    }
+    let naive: String = osars::check::oracle::naive_pipeline(
+        &phones_small(),
+        &osars::runtime::BatchOptions::default(),
+    )
+    .iter()
+    .map(osars::runtime::render_item_summary)
+    .collect();
+    assert_eq!(
+        served, naive,
+        "served summaries diverge from the naive pipeline"
+    );
+
+    for jobs in ["1", "3", "8"] {
         let cli = Command::new(env!("CARGO_BIN_EXE_osars"))
             .args([
                 "summarize",
@@ -115,10 +129,6 @@ fn served_summaries_match_cli_stdout_across_impls() {
                 "small",
                 "--item",
                 "all",
-                "--graph-impl",
-                graph,
-                "--extract-impl",
-                extract,
                 "--jobs",
                 jobs,
             ])
@@ -130,19 +140,9 @@ fn served_summaries_match_cli_stdout_across_impls() {
             String::from_utf8_lossy(&cli.stderr)
         );
         let expected = String::from_utf8(cli.stdout).expect("UTF-8 stdout");
-
-        let mut served = String::new();
-        for item in 0..items {
-            let (status, _, body) = get(
-                addr,
-                &format!("/summary/{item}?graph-impl={graph}&extract-impl={extract}"),
-            );
-            assert_eq!(status, 200, "item {item} ({graph}/{extract}): {body}");
-            served.push_str(&summary_text(&body));
-        }
         assert_eq!(
             served, expected,
-            "served summaries diverge from CLI stdout for {graph}/{extract} --jobs {jobs}"
+            "served summaries diverge from CLI stdout at --jobs {jobs}"
         );
     }
     handle.shutdown();
@@ -538,6 +538,9 @@ fn healthz_metrics_and_error_routes() {
     assert_eq!(status, 400, "{body}");
     let (status, _, body) = get(addr, "/summary/0?eps=nan");
     assert_eq!(status, 400, "{body}");
+    let (status, _, body) = get(addr, "/summary/0?graph-impl=naive");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("graph-impl"), "{body}");
     let (status, _, body) = get(addr, "/summary/99999");
     assert_eq!(status, 404, "{body}");
     handle.shutdown();
