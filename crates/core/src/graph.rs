@@ -82,14 +82,13 @@ pub struct CoverageGraph {
 }
 
 /// Selects which [`CoverageGraph`] construction implementation runs: the
-/// index-backed windowed builder (default, the one production runs) or
-/// the original scan builder, kept as a cross-checking oracle for
+/// index-backed windowed builder (the one production runs) or the
+/// original scan builder, kept as a cross-checking oracle for
 /// `osars check` and the tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphImpl {
     /// Ancestor-closure walk + sentiment-sorted buckets with binary-search
     /// ε-windows + dense epoch-stamped dedup scratch.
-    #[default]
     Indexed,
     /// Per-pair upward BFS + full-bucket scan + per-pair `HashMap`
     /// (the pre-index builder; slower, trivially auditable).
@@ -786,7 +785,7 @@ impl CoverageGraph {
             h,
             pairs,
             eps,
-            GraphImpl::default(),
+            GraphImpl::Indexed,
             &mut GraphBuildScratch::new(),
         )
     }
@@ -801,7 +800,7 @@ impl CoverageGraph {
             pairs,
             weights,
             eps,
-            GraphImpl::default(),
+            GraphImpl::Indexed,
             &mut GraphBuildScratch::new(),
         )
     }
@@ -821,7 +820,7 @@ impl CoverageGraph {
             groups,
             eps,
             granularity,
-            GraphImpl::default(),
+            GraphImpl::Indexed,
             &mut GraphBuildScratch::new(),
         )
     }

@@ -268,11 +268,10 @@ pub fn extract_truncate(prev: &ExtractedItem, keep_reviews: usize) -> ExtractedI
 /// [`ExtractedItem`]s; production runs `Interned`, and `Naive` exists as
 /// the auditable oracle for `osars check` and the tests, mirroring the
 /// graph builder's `GraphImpl::{Indexed, Naive}` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtractImpl {
     /// Interned token IDs, Aho-Corasick concept automatons, memoized
-    /// stemming and dense lexicon tables (the default).
-    #[default]
+    /// stemming and dense lexicon tables (the one production runs).
     Interned,
     /// The original per-token `String` / trie-walk / HashMap pipeline.
     Naive,

@@ -29,7 +29,9 @@
 //! synthesize one in memory straight from `--domain`/`--scale`/`--seed`.
 //! Everything is deterministic given `--seed` — observability (`--metrics`,
 //! `--trace`) only observes, it never perturbs outputs. A flag the
-//! subcommand does not read is refused. The runtime always runs the
+//! subcommand does not read is refused, and so is a `summarize` flag
+//! that the chosen path (single item, `--item all` or `--artifacts`)
+//! would ignore. The runtime always runs the
 //! interned extractor and the indexed graph builder; their naive twins
 //! are reached only through `osars check` and the tests.
 
@@ -173,7 +175,10 @@ USAGE:
 DEFAULTS: --scale small --seed 42 --item 0 --k 5 --eps 0.5
           --granularity sentences --algorithm greedy --items 5 --jobs 1
           --cases 25 --ancestor-impl dense
-FLAGS:    a flag the subcommand does not read is an error
+FLAGS:    a flag the subcommand does not read is an error, and so is
+          one the chosen summarize path ignores (--explain or --focus
+          with --item all; --jobs, --trace-out or a corpus flag with
+          --artifacts)
 FOCUS:    restricts the summary to one concept's subtree
           (e.g. --focus battery on a phone corpus)
 JOBS:     --item all batches every item over N worker threads (0 = all
@@ -302,6 +307,19 @@ fn parse_flags(
 
 fn flag<'a>(flags: &'a HashMap<String, String>, name: &str) -> Option<&'a str> {
     flags.get(name).map(String::as_str)
+}
+
+/// `summarize` takes the union of the flags its three paths read; a
+/// path refuses the ones in its space-separated `unread` list.
+fn refuse_flags(
+    flags: &HashMap<String, String>,
+    unread: &str,
+    context: &str,
+) -> Result<(), String> {
+    match unread.split_whitespace().find(|n| flags.contains_key(*n)) {
+        Some(name) => Err(format!("--{name} is not supported with {context}")),
+        None => Ok(()),
+    }
 }
 
 fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, String> {
@@ -583,10 +601,9 @@ fn batch_options(
 /// `--item all`: batch-summarize the whole corpus on a worker pool.
 /// Summaries go to stdout (byte-identical for any `--jobs`), throughput
 /// and latency stats to stderr (inherently run-dependent).
-fn cmd_summarize_batch(corpus: &Corpus, flags: &HashMap<String, String>) -> Result<(), String> {
-    if flag(flags, "focus").is_some() {
-        return Err("--focus is not supported with --item all".to_owned());
-    }
+fn cmd_summarize_batch(flags: &HashMap<String, String>) -> Result<(), String> {
+    refuse_flags(flags, "focus explain", "--item all")?;
+    let corpus = open_corpus(flags)?;
     let opts = BatchOptions {
         jobs: parse_num(flags, "jobs", 1)?,
         ..batch_options(flags, "greedy")?
@@ -594,7 +611,7 @@ fn cmd_summarize_batch(corpus: &Corpus, flags: &HashMap<String, String>) -> Resu
     // Every item is traced; --trace-out only writes the trees out, so
     // stdout is byte-identical either way.
     let trace_out = flag(flags, "trace-out");
-    let report = summarize_corpus(corpus, &opts);
+    let report = summarize_corpus(&corpus, &opts);
     print!("{}", report.render_items());
     eprintln!("{}", report.render_stats());
     let stage_table = report.render_stage_table();
@@ -636,9 +653,9 @@ fn cmd_summarize_artifacts(path: &str, flags: &HashMap<String, String>) -> Resul
     use osars::runtime::incremental::ItemArtifacts;
     use osars::runtime::{render_item_summary, warm_ancestor_index, WorkerScratch};
 
-    if flag(flags, "focus").is_some() {
-        return Err("--focus is not supported with --artifacts".to_owned());
-    }
+    // The artifact holds the corpus; --seed still seeds the solvers.
+    let unread = "corpus domain scale focus explain jobs trace-out";
+    refuse_flags(flags, unread, "--artifacts")?;
     if matches!(flag(flags, "item"), Some(it) if it != "all") {
         return Err("--artifacts renders every item; drop --item or pass --item all".to_owned());
     }
@@ -669,11 +686,10 @@ fn cmd_summarize(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(path) = flag(flags, "artifacts") {
         return cmd_summarize_artifacts(path, flags);
     }
-    let corpus = open_corpus(flags)?;
-    let item_flag = flag(flags, "item").unwrap_or("0");
-    if item_flag == "all" {
-        return cmd_summarize_batch(&corpus, flags);
+    if flag(flags, "item") == Some("all") {
+        return cmd_summarize_batch(flags);
     }
+    let corpus = open_corpus(flags)?;
     let item: usize = parse_num(flags, "item", 0)?;
     let k: usize = parse_num(flags, "k", 5)?;
     let eps = parse_eps(flags)?;

@@ -377,27 +377,25 @@ fn extract_impls_produce_byte_identical_stdout() {
     assert_eq!(single, expect, "single-item interned != naive");
 }
 
-/// Assert `osars args..` exits 1 naming `flag` as unknown for its
-/// subcommand.
-fn assert_unknown_flag(args: &[&str], flag: &str) {
+/// Assert `osars args..` exits 1 with `want` on stderr.
+fn assert_refused(args: &[&str], want: &str) {
     let out = osars(args);
     assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(want), "{args:?}: {stderr}");
+}
+
+/// Assert `osars args..` refuses `flag` as unknown for its subcommand.
+fn assert_unknown_flag(args: &[&str], flag: &str) {
     let want = format!("unknown flag {flag} for `osars {}`", args[0]);
-    assert!(stderr.contains(&want), "{args:?}: {stderr}");
+    assert_refused(args, &want);
 }
 
 #[test]
 fn unknown_extract_impl_is_rejected() {
     // The naive extractor is an oracle, not a production flag: every
     // subcommand that once took `--extract-impl` refuses it.
-    for command in [
-        "summarize",
-        "compile",
-        "evaluate",
-        "bench-incremental",
-        "serve",
-    ] {
+    for command in "summarize compile evaluate bench-incremental serve".split(' ') {
         assert_unknown_flag(
             &[command, "--domain", "phones", "--extract-impl", "naive"],
             "--extract-impl",
@@ -427,6 +425,16 @@ fn misspelled_and_misplaced_flags_are_rejected() {
     );
     // A flag another subcommand reads is still unknown here.
     assert_unknown_flag(&["stats", "--domain", "phones", "--jobs", "2"], "--jobs");
+    // `summarize` knows the union of its paths' flags; each path
+    // refuses the ones it would ignore, before touching any file.
+    for flag in ["--explain", "--focus"] {
+        let args = ["summarize", "--item", "all", flag, "x"];
+        assert_refused(&args, &format!("{flag} is not supported with --item all"));
+    }
+    for flag in ["--jobs", "--trace-out", "--explain", "--domain"] {
+        let args = ["summarize", "--artifacts", "missing.osar", flag, "x"];
+        assert_refused(&args, &format!("{flag} is not supported with --artifacts"));
+    }
 }
 
 #[test]

@@ -578,7 +578,7 @@ fn warm_boots_answer_the_first_request_from_cache() {
     let extracted: Vec<_> = corpus
         .items
         .iter()
-        .map(|it| extractor.extract(it, ExtractImpl::default(), &mut scratch))
+        .map(|it| extractor.extract(it, ExtractImpl::Interned, &mut scratch))
         .collect();
     let artifact = osars::artifact::lazy_from_bytes(osars::artifact::encode(&corpus, &extracted))
         .expect("fresh artifact opens");
