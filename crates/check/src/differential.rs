@@ -20,8 +20,8 @@ use osa_datasets::{Corpus, ExtractImpl, Extractor};
 use osa_ontology::{AncestorImpl, Hierarchy, HierarchyBuilder};
 use osa_runtime::incremental::ItemArtifacts;
 use osa_runtime::{
-    item_graph, item_seed, par_for_groups, par_for_pairs, render_item_summary, summarize_corpus,
-    BatchAlgorithm, BatchOptions, BatchReport, Fault, FaultPlan, ItemSummary, WorkerScratch,
+    item_graph, item_seed, render_item_summary, summarize_corpus, BatchAlgorithm, BatchOptions,
+    BatchReport, Fault, FaultPlan, ItemSummary, WorkerScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -486,7 +486,8 @@ fn chk_incremental_vs_rebuild(s: &Scenario) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the scenario's coverage graph with every implementation.
+/// Build the scenario's coverage graph with the naive and the indexed
+/// builder.
 fn build_all_impls(s: &Scenario) -> Vec<(String, CoverageGraph)> {
     let inst = synth_of(s);
     let h = &inst.hierarchy;
@@ -502,12 +503,6 @@ fn build_all_impls(s: &Scenario) -> Vec<(String, CoverageGraph)> {
                 "indexed".to_owned(),
                 CoverageGraph::for_pairs(h, pairs, s.eps),
             ));
-            for jobs in JOBS_MATRIX {
-                graphs.push((
-                    format!("par(jobs={jobs})"),
-                    par_for_pairs(h, pairs, s.eps, jobs),
-                ));
-            }
         }
         Granularity::Sentences | Granularity::Reviews => {
             let groups = if s.granularity == Granularity::Sentences {
@@ -523,18 +518,12 @@ fn build_all_impls(s: &Scenario) -> Vec<(String, CoverageGraph)> {
                 "indexed".to_owned(),
                 CoverageGraph::for_groups(h, pairs, groups, s.eps, s.granularity),
             ));
-            for jobs in JOBS_MATRIX {
-                graphs.push((
-                    format!("par(jobs={jobs})"),
-                    par_for_groups(h, pairs, groups, s.eps, s.granularity, jobs),
-                ));
-            }
         }
     }
     graphs
 }
 
-/// Naive, indexed, and parallel graph builds agree exactly.
+/// The naive and indexed graph builds agree exactly.
 fn chk_graph_impl_equality(s: &Scenario) -> Result<(), String> {
     let graphs = build_all_impls(s);
     let (ref_name, reference) = &graphs[0];

@@ -81,6 +81,8 @@ pub use greedy::{GreedySummarizer, LazyGreedySummarizer};
 pub use ilp::__diag_build_model;
 pub use ilp::{IlpSummarizer, LpRelaxationStats};
 pub use local_search::LocalSearchSummarizer;
+/// The exact solvers' error, returned by [`Summarizer::try_summarize_traced`].
+pub use osa_solver::SolverError;
 pub use pair::{compress_pairs, pair_distance, Pair};
 pub use rounding::RandomizedRounding;
 pub use summarizer::{Summarizer, Summary};

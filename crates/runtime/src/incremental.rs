@@ -3,12 +3,18 @@
 //!
 //! [`ItemArtifacts`] is the only implementation of the pipeline: the
 //! batch ([`summarize_corpus`](crate::summarize_corpus),
-//! [`summarize_one`](crate::summarize_one)), the serve daemon and ingest
-//! all run [`ItemArtifacts::from_extracted`] (or
-//! [`build`](ItemArtifacts::build), which extracts first) and
-//! [`ItemArtifacts::summarize`]. For one corpus item it caches everything
-//! that can be **extended** instead of rebuilt when reviews are appended
-//! (or truncated when trailing reviews are retracted):
+//! [`summarize_one`](crate::summarize_one)), the serve daemon, ingest,
+//! `osars summarize --item N` and `osars evaluate` all run
+//! [`ItemArtifacts::from_extracted`] (or [`build`](ItemArtifacts::build),
+//! which extracts first) and [`ItemArtifacts::summarize`], which is its
+//! two stages [`graph`](ItemArtifacts::graph) and
+//! [`try_solve`](ItemArtifacts::try_solve). The single-item CLI calls
+//! the stages itself, to explain the summary over the graph and to print
+//! a solver error instead of panicking.
+//!
+//! For one corpus item it caches everything that can be **extended**
+//! instead of rebuilt when reviews are appended (or truncated when
+//! trailing reviews are retracted):
 //!
 //! * the interned extraction ([`ExtractedItem`]) — an append
 //!   re-extracts only the new reviews
@@ -38,6 +44,7 @@
 
 use osa_core::{
     CoverageGraph, Granularity, GraphBuildPlan, GraphImpl, GraphShard, GreedySummarizer,
+    SolverError,
 };
 use osa_datasets::{extract_append, extract_truncate, ExtractImpl, ExtractedItem, Extractor, Item};
 use osa_ontology::Hierarchy;
@@ -219,19 +226,12 @@ impl ItemArtifacts {
         }
     }
 
-    /// Summarize `item` from the cached artifacts: the `graph.build` and
-    /// solve stages of the per-item pipeline, timed in the registry and,
-    /// when `trace` is given, recorded as spans under whatever span the
-    /// caller has open. The caller owns the `extract` stage (running the
-    /// extractor, or looking the artifacts up); the extraction's sizes are
-    /// counted on the caller's open span.
-    ///
-    /// With cached graph artifacts the graph is assembled from the
-    /// cached plan and shard and greedy warm-starts from the cached keys;
-    /// every other signature rebuilds the graph from the cached
-    /// extraction ([`item_graph`]) and solves cold. Both select exactly
-    /// what a cold naive build of the same extraction does — the
-    /// reference pipeline of the tests and `osars check` holds them to it.
+    /// Summarize `item` from the cached artifacts: [`graph`](Self::graph)
+    /// then [`try_solve`](Self::try_solve). A solver error (a model over
+    /// the exact solvers' tableau cap) panics with its message, which
+    /// the batch records as an item failure and serve answers with a
+    /// 500. The caller owns the `extract` stage (running the extractor,
+    /// or looking the artifacts up).
     pub fn summarize(
         &self,
         hierarchy: &Hierarchy,
@@ -241,19 +241,38 @@ impl ItemArtifacts {
         scratch: &mut WorkerScratch,
         trace: Option<&osa_obs::Trace>,
     ) -> ItemSummary {
-        assert_eq!(
-            self.reviews,
-            item.reviews.len(),
-            "artifacts are stale: update() before summarize()"
-        );
-        let obs = osa_obs::global();
+        let graph = self.graph(hierarchy, opts, scratch, trace);
+        match self.try_solve(hierarchy, opts, idx, item, &graph, scratch, trace) {
+            Ok(summary) => summary,
+            Err(e) => panic!("{}: {e}", opts.algorithm.span_name()),
+        }
+    }
+
+    /// The `graph.build` stage: the item's coverage graph under `opts`,
+    /// timed in the registry and, when `trace` is given, recorded as a
+    /// span under whatever span the caller has open. The extraction's
+    /// sizes are counted on the caller's open span.
+    ///
+    /// With cached graph artifacts the graph is assembled from the
+    /// cached plan and shard; every other signature rebuilds it from the
+    /// cached extraction ([`item_graph`]). At pairs granularity this
+    /// stages the compressed pairs in `scratch`, which
+    /// [`try_solve`](Self::try_solve) renders from, so pass it the same
+    /// scratch untouched.
+    pub fn graph(
+        &self,
+        hierarchy: &Hierarchy,
+        opts: &BatchOptions,
+        scratch: &mut WorkerScratch,
+        trace: Option<&osa_obs::Trace>,
+    ) -> CoverageGraph {
         let ex = &self.extracted;
         if let Some(t) = trace {
             t.count("extract.pairs", ex.pairs.len() as u64);
             t.count("extract.sentences", ex.sentences.len() as u64);
         }
-        let cached = self.graph.as_ref().filter(|g| g.matches(opts));
-        let (graph, _us) = obs.time_traced("graph.build", trace, || {
+        let cached = self.cached(opts);
+        let (graph, _us) = osa_obs::global().time_traced("graph.build", trace, || {
             if opts.granularity == Granularity::Pairs {
                 // Stage the compressed pairs `item_graph` builds over
                 // (and the rendering reads).
@@ -274,28 +293,63 @@ impl ItemArtifacts {
             }
             graph
         });
-        let (summary, _us) = obs.time_traced(opts.algorithm.span_name(), trace, || match cached {
-            Some(g) if opts.algorithm.is_greedy() => {
-                GreedySummarizer.summarize_seeded(&graph, opts.k, &g.keys, trace)
-            }
-            _ => {
-                let alg = opts
+        graph
+    }
+
+    /// The solve stage over `graph`, the item's [`graph`](Self::graph)
+    /// under the same `opts` and `scratch`: timed and traced like
+    /// `graph`, then rendered into an [`ItemSummary`]. With cached graph
+    /// artifacts greedy warm-starts from the cached keys; every other
+    /// algorithm solves cold, randomized ones seeded by
+    /// [`item_seed`]`(opts.corpus_seed, idx)`. Both select exactly what
+    /// a cold naive build of the same extraction does — the reference
+    /// pipeline of the tests and `osars check` holds them to it.
+    ///
+    /// Returns the exact solvers' [`SolverError`] for a model over the
+    /// tableau cap.
+    #[allow(clippy::too_many_arguments)]
+    pub fn try_solve(
+        &self,
+        hierarchy: &Hierarchy,
+        opts: &BatchOptions,
+        idx: usize,
+        item: &Item,
+        graph: &CoverageGraph,
+        scratch: &WorkerScratch,
+        trace: Option<&osa_obs::Trace>,
+    ) -> Result<ItemSummary, SolverError> {
+        assert_eq!(
+            self.reviews,
+            item.reviews.len(),
+            "artifacts are stale: update() before summarize()"
+        );
+        let span = opts.algorithm.span_name();
+        let (summary, _us) =
+            osa_obs::global().time_traced(span, trace, || match self.cached(opts) {
+                Some(g) if opts.algorithm.is_greedy() => {
+                    Ok(GreedySummarizer.summarize_seeded(graph, opts.k, &g.keys, trace))
+                }
+                _ => opts
                     .algorithm
-                    .summarizer(item_seed(opts.corpus_seed, idx as u64));
-                alg.summarize_traced(&graph, opts.k, trace)
-            }
-        });
-        finish_item_summary(
+                    .summarizer(item_seed(opts.corpus_seed, idx as u64))
+                    .try_summarize_traced(graph, opts.k, trace),
+            });
+        Ok(finish_item_summary(
             hierarchy,
             opts.granularity,
             idx,
             item,
-            ex,
+            &self.extracted,
             &scratch.pair_buf,
             &scratch.weight_buf,
-            &graph,
-            summary,
-        )
+            graph,
+            summary?,
+        ))
+    }
+
+    /// The cached graph artifacts, when they match `opts`' signature.
+    fn cached(&self, opts: &BatchOptions) -> Option<&GraphArtifacts> {
+        self.graph.as_ref().filter(|g| g.matches(opts))
     }
 
     /// Number of reviews the cached extraction covers.
@@ -311,7 +365,7 @@ impl ItemArtifacts {
     /// Whether mergeable graph artifacts are cached for `opts`'
     /// signature (and a greedy request would warm-start).
     pub fn has_graph_for(&self, opts: &BatchOptions) -> bool {
-        self.graph.as_ref().is_some_and(|g| g.matches(opts))
+        self.cached(opts).is_some()
     }
 }
 

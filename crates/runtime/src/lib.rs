@@ -21,6 +21,12 @@
 //!   from `(corpus_seed, item_id)` by [`item_seed`] so randomized
 //!   algorithms are also schedule-independent.
 //!
+//! `ItemArtifacts` is the only per-item pipeline: besides the batch it
+//! backs [`summarize_one`], the serve daemon, `osars summarize --item N`
+//! (which reads the graph between its [`graph`](incremental::ItemArtifacts::graph)
+//! and [`try_solve`](incremental::ItemArtifacts::try_solve) stages for
+//! `--explain`) and `osars evaluate`'s greedy row.
+//!
 //! Determinism contract: for a fixed corpus and [`BatchOptions`], the
 //! `results` of the report are identical for any `jobs` value. Only the
 //! timing fields differ between runs.
@@ -37,9 +43,8 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use osa_core::{
-    CoverageGraph, Granularity, GraphBuildPlan, GraphBuildScratch, GraphImpl, GraphShard,
-    GreedySummarizer, IlpSummarizer, LazyGreedySummarizer, LocalSearchSummarizer, Pair,
-    RandomizedRounding, Summarizer, Summary,
+    CoverageGraph, Granularity, GraphBuildScratch, GraphImpl, GreedySummarizer, IlpSummarizer,
+    LazyGreedySummarizer, LocalSearchSummarizer, Pair, RandomizedRounding, Summarizer, Summary,
 };
 use osa_datasets::{Corpus, ExtractImpl, ExtractedItem, Extractor};
 use osa_eval::{LatencyHistogram, Stopwatch};
@@ -65,154 +70,6 @@ pub fn effective_jobs(jobs: usize) -> usize {
     resolved.clamp(1, MAX_JOBS)
 }
 
-/// Below this many target pairs a parallel graph build runs inline: the
-/// per-pair work is tens of nanoseconds, so thread spawn + shard merge
-/// overhead dominates small instances.
-pub const PAR_BUILD_MIN_PAIRS: usize = 1024;
-
-/// Parallel [`CoverageGraph::for_pairs`]: pass 2 sharded over pair
-/// ranges, merged in order — byte-identical to the sequential (and
-/// naive) build for any `jobs`.
-pub fn par_for_pairs(h: &Hierarchy, pairs: &[Pair], eps: f64, jobs: usize) -> CoverageGraph {
-    par_build(
-        h,
-        pairs,
-        None,
-        eps,
-        Granularity::Pairs,
-        None,
-        AncestorImpl::Dense,
-        jobs,
-    )
-}
-
-/// [`par_for_pairs`] with an explicit ancestor-index implementation.
-pub fn par_for_pairs_ancestor(
-    h: &Hierarchy,
-    pairs: &[Pair],
-    eps: f64,
-    ancestor: AncestorImpl,
-    jobs: usize,
-) -> CoverageGraph {
-    par_build(
-        h,
-        pairs,
-        None,
-        eps,
-        Granularity::Pairs,
-        None,
-        ancestor,
-        jobs,
-    )
-}
-
-/// Parallel [`CoverageGraph::for_weighted_pairs`].
-pub fn par_for_weighted_pairs(
-    h: &Hierarchy,
-    pairs: &[Pair],
-    weights: &[u64],
-    eps: f64,
-    jobs: usize,
-) -> CoverageGraph {
-    assert_eq!(pairs.len(), weights.len(), "one weight per pair");
-    par_build(
-        h,
-        pairs,
-        None,
-        eps,
-        Granularity::Pairs,
-        Some(weights),
-        AncestorImpl::Dense,
-        jobs,
-    )
-}
-
-/// Parallel [`CoverageGraph::for_groups`].
-pub fn par_for_groups(
-    h: &Hierarchy,
-    pairs: &[Pair],
-    groups: &[Vec<usize>],
-    eps: f64,
-    granularity: Granularity,
-    jobs: usize,
-) -> CoverageGraph {
-    par_build(
-        h,
-        pairs,
-        Some(groups),
-        eps,
-        granularity,
-        None,
-        AncestorImpl::Dense,
-        jobs,
-    )
-}
-
-/// [`par_for_groups`] with an explicit ancestor-index implementation.
-pub fn par_for_groups_ancestor(
-    h: &Hierarchy,
-    pairs: &[Pair],
-    groups: &[Vec<usize>],
-    eps: f64,
-    granularity: Granularity,
-    ancestor: AncestorImpl,
-    jobs: usize,
-) -> CoverageGraph {
-    par_build(
-        h,
-        pairs,
-        Some(groups),
-        eps,
-        granularity,
-        None,
-        ancestor,
-        jobs,
-    )
-}
-
-/// Shared driver of the `par_for_*` builders: plan once, shard pass 2
-/// over contiguous pair ranges stolen from an atomic cursor, assemble in
-/// range order. Deliberately *not* routed through [`BatchJob`]: shard
-/// counts depend on `jobs`, and batch bookkeeping (e.g.
-/// `runtime.items.completed`) must stay jobs-invariant.
-#[allow(clippy::too_many_arguments)]
-fn par_build(
-    h: &Hierarchy,
-    pairs: &[Pair],
-    groups: Option<&[Vec<usize>]>,
-    eps: f64,
-    granularity: Granularity,
-    weights: Option<&[u64]>,
-    ancestor: AncestorImpl,
-    jobs: usize,
-) -> CoverageGraph {
-    let n = pairs.len();
-    let jobs = effective_jobs(jobs);
-    if jobs == 1 || n < PAR_BUILD_MIN_PAIRS {
-        let plan = GraphBuildPlan::new_with(h, pairs, groups, eps, ancestor);
-        let shard = plan.shard(h, pairs, 0..n, &mut GraphBuildScratch::new());
-        return CoverageGraph::assemble(&plan, granularity, weights, &[shard]);
-    }
-    // Build the index before fan-out so workers share the cached value
-    // instead of racing to compute it (OnceLock would serialize them).
-    warm_ancestor_index(h, ancestor);
-    let plan = GraphBuildPlan::new_with(h, pairs, groups, eps, ancestor);
-    // More chunks than workers smooths out skew (deep concepts, wide
-    // windows) without hurting determinism: assembly is by range order.
-    // Re-deriving `chunks` from the rounded-up `per` is load-bearing:
-    // keeping the original count would leave trailing chunks whose
-    // `c * per` start lies past `n` (e.g. n=1024, jobs=11 → 44 chunks of
-    // 24 cover only 43 chunks' worth), and such degenerate shards fail
-    // `assemble`'s tiling check.
-    let per = n.div_ceil((jobs * 4).min(n));
-    let chunks = n.div_ceil(per);
-    let shards = run_sharded::<GraphShard, GraphBuildScratch>(chunks, jobs, |scratch, c| {
-        let range = c * per..((c + 1) * per).min(n);
-        plan.shard(h, pairs, range, scratch)
-    });
-    CoverageGraph::assemble(&plan, granularity, weights, &shards)
-}
-
 /// Pre-warm the hierarchy's cached ancestor index for `ancestor` so a
 /// subsequent worker fan-out shares it instead of serializing on the
 /// `OnceLock` initialization. Only the selected index is built — a
@@ -226,91 +83,6 @@ pub fn warm_ancestor_index(h: &Hierarchy, ancestor: AncestorImpl) {
             let _ = h.segment_index();
         }
     }
-}
-
-/// Run `shard_fn` over chunk indices `0..chunks` on `jobs` worker
-/// threads, each owning one scratch `C`, and return the results in chunk
-/// order.
-///
-/// Panic contract: each chunk executes under
-/// [`std::panic::catch_unwind`], so one poisoned chunk cannot tear down
-/// its worker thread — the remaining chunks are still built (possibly by
-/// other workers). After every worker has been joined, the payload of the
-/// lowest-index failed chunk (deterministic for a deterministic
-/// `shard_fn`) is re-raised **once** on the calling thread via
-/// [`std::panic::resume_unwind`], preserving the original panic message
-/// so an enclosing `catch_unwind` (the per-item isolation in
-/// [`BatchJob::run`], or the serve layer)
-/// can surface it as a per-item error instead of the process dying on a
-/// `join().expect(...)`.
-fn run_sharded<S, C>(
-    chunks: usize,
-    jobs: usize,
-    shard_fn: impl Fn(&mut C, usize) -> S + Sync,
-) -> Vec<S>
-where
-    S: Send,
-    C: Default,
-{
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<S>> = (0..chunks).map(|_| None).collect();
-    // Lowest failed chunk's panic payload, re-raised after the join loop.
-    let mut first_failure: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-    let mut note_failure = |c: usize, payload: Box<dyn std::any::Any + Send>| {
-        if first_failure.as_ref().is_none_or(|(fc, _)| c < *fc) {
-            first_failure = Some((c, payload));
-        }
-    };
-    std::thread::scope(|s| {
-        type ShardOutcome<S> = (usize, Result<S, Box<dyn std::any::Any + Send>>);
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut scratch = C::default();
-                    let mut done: Vec<ShardOutcome<S>> = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= chunks {
-                            break;
-                        }
-                        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            shard_fn(&mut scratch, c)
-                        }));
-                        if caught.is_err() {
-                            // The panic may have left the scratch
-                            // mid-update; replace rather than repair.
-                            scratch = C::default();
-                        }
-                        done.push((c, caught));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for hnd in handles {
-            match hnd.join() {
-                Ok(done) => {
-                    for (c, outcome) in done {
-                        match outcome {
-                            Ok(shard) => slots[c] = Some(shard),
-                            Err(payload) => note_failure(c, payload),
-                        }
-                    }
-                }
-                // A panic outside the per-chunk isolation (should be
-                // impossible: the loop body is fully wrapped). Re-raise
-                // it rather than pretend the build succeeded.
-                Err(payload) => note_failure(usize::MAX, payload),
-            }
-        }
-    });
-    if let Some((_, payload)) = first_failure {
-        std::panic::resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every chunk was built exactly once"))
-        .collect()
 }
 
 /// Derive a per-item RNG seed from the corpus seed and the item's stable
@@ -1290,109 +1062,6 @@ mod tests {
         assert!(BatchAlgorithm::from_name("nope").is_none());
     }
 
-    /// A multi-parent DAG big enough to cross [`PAR_BUILD_MIN_PAIRS`]:
-    /// root -> 8 mids (fully bipartite to) 64 leaves.
-    fn par_fixture(n_pairs: usize) -> (Hierarchy, Vec<Pair>) {
-        use osa_ontology::HierarchyBuilder;
-        let mut b = HierarchyBuilder::new();
-        let r = b.add_node("r");
-        let mids: Vec<_> = (0..8)
-            .map(|i| {
-                let m = b.add_node(&format!("m{i}"));
-                b.add_edge(r, m).unwrap();
-                m
-            })
-            .collect();
-        let leaves: Vec<_> = (0..64)
-            .map(|i| {
-                let l = b.add_node(&format!("l{i}"));
-                for &m in &mids {
-                    b.add_edge(m, l).unwrap();
-                }
-                l
-            })
-            .collect();
-        let h = b.build().unwrap();
-        let nodes: Vec<_> = mids.iter().chain(leaves.iter()).copied().collect();
-        let pairs = (0..n_pairs)
-            .map(|i| {
-                // A deterministic scatter of sentiments incl. both zeros.
-                let s = ((item_seed(3, i as u64) % 41) as f64 - 20.0) / 20.0;
-                Pair::new(nodes[i % nodes.len()], if s == 0.0 { -0.0 } else { s })
-            })
-            .collect();
-        (h, pairs)
-    }
-
-    #[test]
-    fn par_for_pairs_matches_naive_for_any_jobs() {
-        // The full 1..=32 sweep covers degenerate chunk geometries where
-        // `chunks * per` overshoots `n` (regression: jobs=11 on 1155
-        // pairs used to produce an empty shard starting past `n` and
-        // panic in `assemble`).
-        let (h, pairs) = par_fixture(PAR_BUILD_MIN_PAIRS + 131);
-        let naive = CoverageGraph::for_pairs_naive(&h, &pairs, 0.25);
-        for jobs in 1..=32 {
-            assert_eq!(par_for_pairs(&h, &pairs, 0.25, jobs), naive, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn par_build_handles_degenerate_chunk_geometry_at_threshold() {
-        // Exactly PAR_BUILD_MIN_PAIRS pairs with the jobs values whose
-        // naive `(jobs*4, div_ceil)` split overshoots n=1024.
-        let (h, pairs) = par_fixture(PAR_BUILD_MIN_PAIRS);
-        let naive = CoverageGraph::for_pairs_naive(&h, &pairs, 0.25);
-        for jobs in [11, 12, 14, 15, 17, 18, 19, 20] {
-            assert_eq!(par_for_pairs(&h, &pairs, 0.25, jobs), naive, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn par_for_weighted_pairs_matches_naive() {
-        let (h, pairs) = par_fixture(PAR_BUILD_MIN_PAIRS + 7);
-        let (unique, weights) = osa_core::compress_pairs(&pairs);
-        let naive = CoverageGraph::for_weighted_pairs_naive(&h, &unique, &weights, 0.5);
-        for jobs in [1, 3, 8, 11, 13, 17] {
-            assert_eq!(
-                par_for_weighted_pairs(&h, &unique, &weights, 0.5, jobs),
-                naive,
-                "jobs={jobs}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_for_groups_matches_naive() {
-        let (h, pairs) = par_fixture(PAR_BUILD_MIN_PAIRS + 50);
-        let groups: Vec<Vec<usize>> =
-            pairs
-                .chunks(7)
-                .enumerate()
-                .fold(Vec::new(), |mut gs, (c, chunk)| {
-                    gs.push((0..chunk.len()).map(|j| c * 7 + j).collect());
-                    gs
-                });
-        for gran in [Granularity::Sentences, Granularity::Reviews] {
-            let naive = CoverageGraph::for_groups_naive(&h, &pairs, &groups, 0.3, gran);
-            for jobs in [1, 2, 8, 11, 19] {
-                assert_eq!(
-                    par_for_groups(&h, &pairs, &groups, 0.3, gran, jobs),
-                    naive,
-                    "{gran:?} jobs={jobs}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_build_below_threshold_stays_sequential_and_correct() {
-        let (h, pairs) = par_fixture(64);
-        assert!(pairs.len() < PAR_BUILD_MIN_PAIRS);
-        let naive = CoverageGraph::for_pairs_naive(&h, &pairs, 0.5);
-        assert_eq!(par_for_pairs(&h, &pairs, 0.5, 8), naive);
-    }
-
     #[test]
     fn batch_options_default_injects_no_faults() {
         assert_eq!(BatchOptions::default().fault_plan, None);
@@ -1546,51 +1215,6 @@ mod tests {
         assert_eq!(report.failed.len(), 1);
         assert_eq!(report.results, vec![0]); // fresh scratch: no capacity carried over
         assert!(report.results[0] < (1 << 16));
-    }
-
-    #[test]
-    fn run_sharded_reraises_the_lowest_chunk_panic() {
-        quiet_injected_panics();
-        // Chunks 5 and 2 panic; all workers must drain (no abort), and
-        // the caller sees exactly chunk 2's payload — deterministic and
-        // catchable, so an enclosing per-item catch_unwind contains it.
-        let caught = std::panic::catch_unwind(|| {
-            run_sharded::<usize, ()>(8, 4, |_, c| {
-                if c == 5 || c == 2 {
-                    injected_panic(format!("injected shard failure {c}"));
-                }
-                c * 2
-            })
-        });
-        let payload = caught.expect_err("a shard panic must propagate");
-        assert_eq!(panic_message(payload.as_ref()), "injected shard failure 2");
-        // Without failures every chunk lands in order.
-        let ok = run_sharded::<usize, ()>(8, 4, |_, c| c * 2);
-        assert_eq!(ok, vec![0, 2, 4, 6, 8, 10, 12, 14]);
-    }
-
-    #[test]
-    fn par_build_panic_is_catchable_not_process_fatal() {
-        use std::sync::atomic::AtomicU32;
-        // Drive the real `par_build` worker fan-out (via run_sharded)
-        // over enough pairs to clear PAR_BUILD_MIN_PAIRS, with a shard_fn
-        // stand-in that panics once: the panic must arrive on the calling
-        // thread as a normal unwinding panic (containable by the serve
-        // layer), not a worker-join abort.
-        let calls = AtomicU32::new(0);
-        let caught = std::panic::catch_unwind(|| {
-            run_sharded::<u32, ()>(16, 4, |_, c| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                if c == 0 {
-                    injected_panic("injected NaN sentiments stand-in".to_owned());
-                }
-                c as u32
-            })
-        });
-        assert!(caught.is_err());
-        // Every chunk was still attempted: one poisoned chunk does not
-        // starve the others.
-        assert_eq!(calls.load(Ordering::Relaxed), 16);
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! interned extractor and the indexed graph builder; their naive twins
 //! are reached only through `osars check` and the tests.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -43,21 +44,16 @@ use std::sync::Arc;
 use osars::baselines::{
     LexRank, LsaSummarizer, MostPopular, Proportional, SentenceRecord, SentenceSelector, TextRank,
 };
-use osars::core::{
-    explain, CoverageGraph, Granularity, GreedySummarizer, IlpSummarizer, LazyGreedySummarizer,
-    LocalSearchSummarizer, Pair, RandomizedRounding, Summarizer,
-};
+use osars::core::{explain, Granularity, Pair};
 use osars::datasets::{
     load_corpus, save_corpus, table1_stats, Corpus, CorpusConfig, ExtractImpl, ExtractedItem,
     Extractor,
 };
 use osars::eval::{sent_err, sent_err_penalized};
 use osars::obs::{JsonlSink, Sink, StderrSink, TeeSink};
-use osars::ontology::AncestorImpl;
-use osars::runtime::{
-    par_for_groups_ancestor, par_for_pairs_ancestor, summarize_corpus, BatchAlgorithm, BatchJob,
-    BatchOptions,
-};
+use osars::ontology::{AncestorImpl, Hierarchy};
+use osars::runtime::incremental::ItemArtifacts;
+use osars::runtime::{summarize_corpus, BatchAlgorithm, BatchJob, BatchOptions, WorkerScratch};
 use osars::text::ExtractScratch;
 
 fn main() -> ExitCode {
@@ -176,18 +172,21 @@ DEFAULTS: --scale small --seed 42 --item 0 --k 5 --eps 0.5
           --granularity sentences --algorithm greedy --items 5 --jobs 1
           --cases 25 --ancestor-impl dense
 FLAGS:    a flag the subcommand does not read is an error, and so is
-          one the chosen summarize path ignores (--explain or --focus
-          with --item all; --jobs, --trace-out or a corpus flag with
-          --artifacts)
+          one the chosen summarize path ignores (--jobs with a single
+          --item; --explain or --focus with --item all; --jobs,
+          --trace-out or a corpus flag with --artifacts)
 FOCUS:    restricts the summary to one concept's subtree
           (e.g. --focus battery on a phone corpus)
 JOBS:     --item all batches every item over N worker threads (0 = all
           cores); results are byte-identical for any N — timing stats go
-          to stderr
+          to stderr. --item N and --item all run the same per-item
+          pipeline, and --seed seeds rr per item on both, so --item N
+          prints that item's batch summary
 GRAPH:    the Section 4.1 coverage graph is built from the ancestor
-          index and sentiment-sorted windows (the single-item path
-          splits it over --jobs); the naive upward-BFS builder is kept
-          as the oracle that `check` and the tests compare it with
+          index and sentiment-sorted windows; at pairs granularity its
+          candidates are the distinct pairs, shown with their count
+          (×w); the naive upward-BFS builder is kept as the oracle that
+          `check` and the tests compare it with
 CHECK:    seeded differential-testing harness: generates --cases
           scenarios from --seed, runs each at --jobs 1|3|8 against a
           reference pipeline of the naive extractor and graph builder
@@ -477,29 +476,6 @@ fn build_corpus(domain: &str, scale: &str, seed: u64) -> Result<Corpus, String> 
     })
 }
 
-fn extract(corpus: &Corpus, item: usize) -> Result<ExtractedItem, String> {
-    let item = corpus.items.get(item).ok_or_else(|| {
-        format!(
-            "item {item} out of range (corpus has {})",
-            corpus.items.len()
-        )
-    })?;
-    let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
-    let mut scratch = ExtractScratch::default();
-    Ok(extractor.extract(item, ExtractImpl::Interned, &mut scratch))
-}
-
-fn algorithm(name: &str) -> Result<Box<dyn Summarizer>, String> {
-    Ok(match name {
-        "greedy" => Box::new(GreedySummarizer),
-        "lazy" => Box::new(LazyGreedySummarizer),
-        "ilp" => Box::new(IlpSummarizer),
-        "rr" => Box::new(RandomizedRounding::with_seed(42)),
-        "local-search" => Box::new(LocalSearchSummarizer::default()),
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
-}
-
 // --- commands --------------------------------------------------------------
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -689,120 +665,83 @@ fn cmd_summarize(flags: &HashMap<String, String>) -> Result<(), String> {
     if flag(flags, "item") == Some("all") {
         return cmd_summarize_batch(flags);
     }
+    cmd_summarize_item(flags)
+}
+
+/// `--item N`: summarize one item through the per-item pipeline the
+/// batch runs ([`ItemArtifacts`](osars::runtime::incremental::ItemArtifacts)),
+/// so its summary equals that item's `--item all` block. The header
+/// quotes the solve stage's µs from the item's trace, which
+/// `--trace-out` writes out.
+fn cmd_summarize_item(flags: &HashMap<String, String>) -> Result<(), String> {
+    refuse_flags(flags, "jobs", "a single --item")?;
     let corpus = open_corpus(flags)?;
-    let item: usize = parse_num(flags, "item", 0)?;
-    let k: usize = parse_num(flags, "k", 5)?;
-    let eps = parse_eps(flags)?;
-    let granularity = flag(flags, "granularity").unwrap_or("sentences");
-    let algorithm_name = flag(flags, "algorithm").unwrap_or("greedy");
-    let alg = algorithm(algorithm_name)?;
-    let obs = osars::obs::global();
-
-    // --trace-out FILE: build a request-scoped span tree over the three
-    // pipeline stages and export it as Chrome trace_event JSON. Stdout
-    // stays byte-identical — the trace only observes.
-    let trace_out = flag(flags, "trace-out");
-    let trace = trace_out.map(|_| osars::obs::Trace::new(item as u64));
-    let mut root_span = trace.as_ref().map(|t| t.span("summarize"));
-
-    let (extracted, _) = {
-        let _tspan = trace.as_ref().map(|t| t.span("extract"));
-        obs.time("extract", || extract(&corpus, item))
+    let idx: usize = parse_num(flags, "item", 0)?;
+    let opts = batch_options(flags, "greedy")?;
+    let wants_explain = match flag(flags, "explain") {
+        None | Some("false") => false,
+        Some("true") => true,
+        Some(other) => return Err(format!("--explain must be true|false, got '{other}'")),
     };
-    let mut ex = extracted?;
-
-    // --focus CONCEPT: restrict to the concept's sub-hierarchy. Pairs on
-    // concepts outside the subtree are dropped; remaining concepts are
-    // remapped into the extracted subgraph by name.
-    let hierarchy = match flag(flags, "focus") {
-        None => corpus.hierarchy.clone(),
+    let item = corpus.items.get(idx).ok_or_else(|| {
+        format!(
+            "item {idx} out of range (corpus has {})",
+            corpus.items.len()
+        )
+    })?;
+    let obs = osars::obs::global();
+    let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
+    let mut scratch = WorkerScratch::new();
+    let trace = osars::obs::Trace::new(idx as u64);
+    let root = trace.span("summarize");
+    let (ex, _us) = obs.time_traced("extract", Some(&trace), || {
+        extractor.extract(item, ExtractImpl::Interned, &mut scratch.extract)
+    });
+    let (hierarchy, ex) = match flag(flags, "focus") {
+        None => (Cow::Borrowed(&corpus.hierarchy), ex),
         Some(name) => {
-            let node = corpus
-                .hierarchy
-                .node_by_name(name)
-                .ok_or_else(|| format!("unknown concept '{name}'"))?;
-            let sub = corpus.hierarchy.subgraph(node);
-            let mut remap: Vec<Option<usize>> = Vec::with_capacity(ex.pairs.len());
-            let mut kept: Vec<Pair> = Vec::new();
-            for p in &ex.pairs {
-                match sub.node_by_name(corpus.hierarchy.name(p.concept)) {
-                    Some(c) => {
-                        remap.push(Some(kept.len()));
-                        kept.push(Pair::new(c, p.sentiment));
-                    }
-                    None => remap.push(None),
-                }
-            }
-            for s in &mut ex.sentences {
-                s.pair_indices = s.pair_indices.iter().filter_map(|&pi| remap[pi]).collect();
-            }
-            ex.pairs = kept;
+            let (sub, ex) = focus(&corpus.hierarchy, ex, name)?;
             println!(
                 "focused on '{name}': {} pairs in the subtree",
                 ex.pairs.len()
             );
-            sub
+            (Cow::Owned(sub), ex)
         }
     };
-
-    let gran = parse_granularity(granularity)?;
-    let ancestor = parse_ancestor_impl(flags)?;
-    let jobs: usize = parse_num(flags, "jobs", 1)?;
-    let graph_span = trace.as_ref().map(|t| t.span("graph.build"));
-    let (graph, _) = obs.time("graph.build", || {
-        let groups = match gran {
-            Granularity::Pairs => {
-                return par_for_pairs_ancestor(&hierarchy, &ex.pairs, eps, ancestor, jobs)
-            }
-            Granularity::Sentences => ex.sentence_groups(),
-            Granularity::Reviews => ex.review_groups(),
-        };
-        par_for_groups_ancestor(&hierarchy, &ex.pairs, &groups, eps, gran, ancestor, jobs)
+    let (artifacts, _us) = obs.time_traced("graph.build", Some(&trace), || {
+        ItemArtifacts::from_extracted(&hierarchy, &opts, item, ex, &mut scratch)
     });
-    drop(graph_span);
-    let (summary, micros) = {
-        let _tspan = trace
-            .as_ref()
-            .map(|t| t.span(&format!("solve.{algorithm_name}")));
-        obs.time(&format!("solve.{algorithm_name}"), || {
-            alg.try_summarize_traced(&graph, k, trace.as_ref())
-        })
-    };
-    let summary = summary.map_err(|e| e.to_string())?;
-    root_span.take();
+    let graph = artifacts.graph(&hierarchy, &opts, &mut scratch, Some(&trace));
+    let solved = artifacts.try_solve(&hierarchy, &opts, idx, item, &graph, &scratch, Some(&trace));
+    drop(root);
+    let summary = solved.map_err(|e| e.to_string())?;
+    let tree = trace.tree();
+    let solve_span = opts.algorithm.span_name();
+    let solve_us = tree
+        .spans
+        .iter()
+        .find(|s| s.name == solve_span)
+        .map_or(0, |s| s.dur_us());
     println!(
-        "{} selected {} of {} candidates in {micros:.0}µs; cost {} (root-only {})",
-        alg.name(),
-        summary.selected.len(),
-        graph.num_candidates(),
-        summary.cost,
-        graph.root_cost()
+        "{} selected {} of {} candidates in {solve_us}µs; cost {} (root-only {})",
+        opts.algorithm.summarizer(0).name(),
+        summary.summary.selected.len(),
+        summary.num_candidates,
+        summary.summary.cost,
+        summary.root_cost
     );
-    let wants_explain = match flag(flags, "explain") {
-        None => false,
-        Some("true") => true,
-        Some("false") => false,
-        Some(other) => return Err(format!("--explain must be true|false, got '{other}'")),
+    // Counts are in raw opinions: a compressed pair serves its weight.
+    let opinions = |served: &[(usize, u32)]| -> u64 {
+        served.iter().map(|&(q, _)| graph.pair_weight(q)).sum()
     };
-    let explanation = wants_explain.then(|| explain::explain(&graph, &summary));
-    for (slot, &sel) in summary.selected.iter().enumerate() {
-        match granularity {
-            "pairs" => {
-                let p = ex.pairs[sel];
-                println!("  • {} = {:+.2}", hierarchy.name(p.concept), p.sentiment);
-            }
-            "sentences" => println!("  • {}", ex.sentences[sel].text),
-            _ => {
-                let first = ex.reviews[sel].first().copied();
-                let text = first.map_or("(empty review)", |si| ex.sentences[si].text.as_str());
-                println!("  • review #{sel}: {text} …");
-            }
-        }
+    let explanation = wants_explain.then(|| explain::explain(&graph, &summary.summary));
+    for (slot, line) in summary.rendered.iter().enumerate() {
+        println!("  • {line}");
         if let Some(ex_report) = &explanation {
             let c = &ex_report.candidates[slot];
             println!(
                 "      └ serves {} opinions (cost share {})",
-                c.serves.len(),
+                opinions(&c.serves),
                 c.cost_share
             );
         }
@@ -810,12 +749,11 @@ fn cmd_summarize(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(ex_report) = &explanation {
         println!(
             "  (root serves the remaining {} opinions, cost share {})",
-            ex_report.root_serves.len(),
+            opinions(&ex_report.root_serves),
             ex_report.root_cost_share
         );
     }
-    if let (Some(path), Some(t)) = (trace_out, &trace) {
-        let tree = t.tree();
+    if let Some(path) = flag(flags, "trace-out") {
         std::fs::write(path, tree.to_chrome_json())
             .map_err(|e| format!("writing '{path}': {e}"))?;
         eprintln!(
@@ -824,6 +762,37 @@ fn cmd_summarize(flags: &HashMap<String, String>) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// `--focus CONCEPT`: restrict an extraction to the concept's
+/// sub-hierarchy. Pairs on concepts outside the subtree are dropped and
+/// the rest are remapped into the subgraph by name; sentences keep the
+/// indices of their surviving pairs.
+fn focus(
+    hierarchy: &Hierarchy,
+    mut ex: ExtractedItem,
+    name: &str,
+) -> Result<(Hierarchy, ExtractedItem), String> {
+    let node = hierarchy
+        .node_by_name(name)
+        .ok_or_else(|| format!("unknown concept '{name}'"))?;
+    let sub = hierarchy.subgraph(node);
+    let mut remap: Vec<Option<usize>> = Vec::with_capacity(ex.pairs.len());
+    let mut kept: Vec<Pair> = Vec::new();
+    for p in &ex.pairs {
+        match sub.node_by_name(hierarchy.name(p.concept)) {
+            Some(c) => {
+                remap.push(Some(kept.len()));
+                kept.push(Pair::new(c, p.sentiment));
+            }
+            None => remap.push(None),
+        }
+    }
+    for s in &mut ex.sentences {
+        s.pair_indices = s.pair_indices.iter().filter_map(|&pi| remap[pi]).collect();
+    }
+    ex.pairs = kept;
+    Ok((sub, ex))
 }
 
 fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -851,18 +820,32 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
         totals.push((b.name().to_owned(), 0.0, 0.0));
     }
 
+    // The greedy row runs the per-item pipeline at sentence granularity.
+    let opts = BatchOptions {
+        k,
+        eps,
+        granularity: Granularity::Sentences,
+        algorithm: BatchAlgorithm::Greedy,
+        ..BatchOptions::default()
+    };
+    let h = &corpus.hierarchy;
     // Per-item scoring runs on the worker pool; the per-method error
     // vectors come back in item order, so the aggregated totals are
     // independent of the thread count.
     let eval_items = &corpus.items[..items];
     let report = BatchJob::new(eval_items)
         .jobs(jobs)
-        .run(|scratch, _, item| {
+        .run(|scratch, idx, item| {
             let obs = osars::obs::global();
             let baselines = make_baselines();
-            let (ex, _) = obs.time("extract", || {
+            let (ex, _us) = obs.time_traced("extract", None, || {
                 extractor.extract(item, ExtractImpl::Interned, &mut scratch.extract)
             });
+            let (artifacts, _us) = obs.time_traced("graph.build", None, || {
+                ItemArtifacts::from_extracted(h, &opts, item, ex, scratch)
+            });
+            let greedy = artifacts.summarize(h, &opts, idx, item, scratch, None);
+            let ex = artifacts.extracted();
             let records: Vec<SentenceRecord> = ex
                 .sentences
                 .iter()
@@ -872,15 +855,6 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
                     pairs: s.pair_indices.iter().map(|&pi| ex.pairs[pi]).collect(),
                 })
                 .collect();
-            let (graph, _) = obs.time("graph.build", || {
-                CoverageGraph::for_groups(
-                    &corpus.hierarchy,
-                    &ex.pairs,
-                    &ex.sentence_groups(),
-                    eps,
-                    Granularity::Sentences,
-                )
-            });
             let pairs_of = |sel: &[usize]| -> Vec<Pair> {
                 sel.iter()
                     .flat_map(|&si| ex.sentences[si].pair_indices.iter())
@@ -890,12 +864,11 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
             let score = |sel: &[usize]| -> (f64, f64) {
                 let f = pairs_of(sel);
                 (
-                    sent_err(&corpus.hierarchy, &ex.pairs, &f),
-                    sent_err_penalized(&corpus.hierarchy, &ex.pairs, &f),
+                    sent_err(h, &ex.pairs, &f),
+                    sent_err_penalized(h, &ex.pairs, &f),
                 )
             };
-            let (greedy, _) = obs.time("solve.greedy", || GreedySummarizer.summarize(&graph, k));
-            let mut errs = vec![score(&greedy.selected)];
+            let mut errs = vec![score(&greedy.summary.selected)];
             for b in &baselines {
                 let (sel, _) =
                     obs.time(&format!("baseline.{}", b.name()), || b.select(&records, k));

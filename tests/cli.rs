@@ -298,7 +298,7 @@ fn naive_pipeline_text(
 
 #[test]
 fn graph_impls_produce_byte_identical_stdout() {
-    // The indexed/parallel builder is a drop-in for the naive oracle:
+    // The indexed builder is a drop-in for the naive oracle:
     // whole-corpus summaries must match byte-for-byte, for any --jobs.
     use osars::core::Granularity;
     use osars::datasets::{Corpus, CorpusConfig};
@@ -435,6 +435,17 @@ fn misspelled_and_misplaced_flags_are_rejected() {
         let args = ["summarize", "--artifacts", "missing.osar", flag, "x"];
         assert_refused(&args, &format!("{flag} is not supported with --artifacts"));
     }
+    // A single item runs on one thread.
+    let args = [
+        "summarize",
+        "--domain",
+        "phones",
+        "--item",
+        "0",
+        "--jobs",
+        "2",
+    ];
+    assert_refused(&args, "--jobs is not supported with a single --item");
 }
 
 #[test]
@@ -971,8 +982,9 @@ fn help_lists_serve_and_loadgen() {
 
 #[test]
 fn a_model_over_the_tableau_cap_is_a_clean_error() {
-    // Item 53 of this doctors-large corpus has 240 reviews: its coverage
-    // program needs a ~42k x 84k dense tableau, over the solver's cap.
+    // Item 53 of this doctors-large corpus has 240 reviews: at sentence
+    // granularity its coverage program needs a 42428 x 84856 dense
+    // tableau, over the solver's cap.
     let path = tmp_corpus("doctors_large_cap.json");
     let out = osars(&[
         "generate",
@@ -986,20 +998,23 @@ fn a_model_over_the_tableau_cap_is_a_clean_error() {
         path.to_str().unwrap(),
     ]);
     assert!(out.status.success());
-    for alg in ["ilp", "rr"] {
-        let out = osars(&[
+    let item_53 = |granularity: &str, alg: &str| {
+        osars(&[
             "summarize",
             "--corpus",
             path.to_str().unwrap(),
             "--item",
             "53",
             "--granularity",
-            "pairs",
+            granularity,
             "--algorithm",
             alg,
             "--k",
             "2",
-        ]);
+        ])
+    };
+    for alg in ["ilp", "rr"] {
+        let out = item_53("sentences", alg);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{alg}: {stderr}");
         assert!(
@@ -1007,5 +1022,114 @@ fn a_model_over_the_tableau_cap_is_a_clean_error() {
             "{alg}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{alg}: {stderr}");
+    }
+    // Its 825 pairs compress to 91 distinct candidates, a model the
+    // exact solver takes.
+    let out = item_53("pairs", "ilp");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("cost 1287"), "{stdout}");
+}
+
+#[test]
+fn single_item_matches_the_pipeline() {
+    // `summarize --item N` runs the per-item pipeline of the batch: its
+    // summary is `summarize_one`'s, under the same options and seed. Its
+    // `--explain` lines account for the header cost and for every raw
+    // opinion, also at pairs granularity where candidates are compressed.
+    use osars::core::Granularity;
+    use osars::datasets::{Corpus, CorpusConfig, Extractor};
+    use osars::runtime::{
+        render_item_summary, summarize_one, BatchAlgorithm, BatchOptions, Fault, WorkerScratch,
+    };
+    let doctors = Corpus::doctors(&CorpusConfig::doctors_small(), 3);
+    let phones = Corpus::phones(&CorpusConfig::phones_small(), 3);
+    let all = ["pairs", "sentences", "reviews"];
+    for (domain, corpus, granularities) in [
+        ("doctors", &doctors, &all[..]),
+        ("phones", &phones, &all[..2]),
+    ] {
+        let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
+        for &granularity in granularities {
+            for algorithm in ["greedy", "lazy", "local-search", "ilp", "rr"] {
+                let case = format!("{domain} {granularity} {algorithm}");
+                let alg = BatchAlgorithm::from_name(algorithm).unwrap();
+                let opts = BatchOptions {
+                    granularity: match granularity {
+                        "pairs" => Granularity::Pairs,
+                        "sentences" => Granularity::Sentences,
+                        _ => Granularity::Reviews,
+                    },
+                    algorithm: alg,
+                    corpus_seed: 3,
+                    ..BatchOptions::default()
+                };
+                let mut scratch = WorkerScratch::new();
+                let want = summarize_one(corpus, &extractor, &opts, &mut scratch, 0, Fault::None)
+                    .expect("item 0 exists");
+                let stdout = summarize_stdout(&[
+                    "--domain",
+                    domain,
+                    "--scale",
+                    "small",
+                    "--seed",
+                    "3",
+                    "--item",
+                    "0",
+                    "--granularity",
+                    granularity,
+                    "--algorithm",
+                    algorithm,
+                    "--explain",
+                    "true",
+                ]);
+                let mut lines = stdout.lines();
+                let header = lines.next().expect("header line");
+                let (served, root): (Vec<&str>, Vec<&str>) = lines
+                    .clone()
+                    .filter(|l| !l.starts_with("  • "))
+                    .partition(|l| l.starts_with("      └ serves "));
+                let bullets: Vec<&str> = lines.filter(|l| l.starts_with("  • ")).collect();
+
+                // Header and bullets against the batch rendering.
+                let (head, tail) = header.split_once(" in ").expect("timed header");
+                let tail = &tail[tail.find("µs;").expect("µs") + "µs;".len()..];
+                let s = &want.summary;
+                assert_eq!(
+                    format!("{head} in _µs;{tail}"),
+                    format!(
+                        "{} selected {} of {} candidates in _µs; cost {} (root-only {})",
+                        alg.summarizer(0).name(),
+                        s.selected.len(),
+                        want.num_candidates,
+                        s.cost,
+                        want.root_cost
+                    ),
+                    "{case}"
+                );
+                let rendered = render_item_summary(&want);
+                let want_bullets: Vec<&str> = rendered.lines().skip(1).collect();
+                assert_eq!(bullets, want_bullets, "{case}");
+
+                // Explain lines: "serves N opinions (cost share C)" per
+                // bullet, then the root's remainder.
+                let numbers = |line: &str| -> (u64, u64) {
+                    let served = line.split_once("serves ").unwrap().1;
+                    let served = served.trim_start_matches("the remaining ");
+                    let count = served.split(' ').next().unwrap().parse().unwrap();
+                    let share = line.rsplit_once("cost share ").unwrap().1;
+                    (count, share.trim_end_matches(')').parse().unwrap())
+                };
+                assert_eq!(served.len(), bullets.len(), "{case}");
+                assert_eq!(root.len(), 1, "{case}: {stdout}");
+                let (count, share) = served
+                    .iter()
+                    .chain(&root)
+                    .map(|l| numbers(l))
+                    .fold((0, 0), |(c, s), (n, x)| (c + n, s + x));
+                assert_eq!(share, s.cost, "{case}: cost shares");
+                assert_eq!(count, want.num_pairs as u64, "{case}: opinions");
+            }
+        }
     }
 }

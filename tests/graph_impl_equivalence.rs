@@ -1,7 +1,7 @@
-//! Property tests: the indexed (and sharded-parallel) §4.1 builders are
-//! *identical* — not just cost-equivalent — to the naive oracle builder
-//! on random multi-parent DAGs, and raw vs compressed-weighted instances
-//! agree on cost even with signed-zero / NaN-sanitized sentiments. On a
+//! Property tests: the indexed §4.1 builders are *identical* — not just
+//! cost-equivalent — to the naive oracle builder on random multi-parent
+//! DAGs, and raw vs compressed-weighted instances agree on cost even
+//! with signed-zero / NaN-sanitized sentiments. On a
 //! 50k-node DAG, sparse plans keep one bucket per member concept and the
 //! plan → shard and append → shard_append paths stay identical under both
 //! ancestor indexes.
@@ -13,7 +13,6 @@ use osars::core::{
 };
 use osars::datasets::{sample_grouped_pairs, synthetic_ontology, SyntheticOntologyConfig};
 use osars::ontology::{AncestorImpl, Hierarchy, HierarchyBuilder, NodeId};
-use osars::runtime::{par_for_groups, par_for_pairs, par_for_weighted_pairs};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,7 +69,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn indexed_and_parallel_pairs_graphs_equal_naive(
+    fn indexed_pairs_graphs_equal_naive(
         (h, pairs, eps) in arb_hierarchy(14).prop_flat_map(|h| {
             let pairs = arb_pairs(&h, 24);
             (Just(h), pairs, (0u8..=10).prop_map(|e| f64::from(e) / 10.0))
@@ -78,14 +77,10 @@ proptest! {
     ) {
         let naive = CoverageGraph::for_pairs_naive(&h, &pairs, eps);
         prop_assert_eq!(&CoverageGraph::for_pairs(&h, &pairs, eps), &naive);
-        // jobs=3 exercises uneven chunking (the small instance stays
-        // sequential inside par_build, which is itself part of the
-        // contract: the threshold must not change the result).
-        prop_assert_eq!(&par_for_pairs(&h, &pairs, eps, 3), &naive);
     }
 
     #[test]
-    fn indexed_and_parallel_group_graphs_equal_naive(
+    fn indexed_group_graphs_equal_naive(
         (h, pairs) in arb_hierarchy(12).prop_flat_map(|h| {
             let pairs = arb_pairs(&h, 18);
             (Just(h), pairs)
@@ -103,7 +98,6 @@ proptest! {
                 &CoverageGraph::for_groups(&h, &pairs, &groups, eps, gran),
                 &naive
             );
-            prop_assert_eq!(&par_for_groups(&h, &pairs, &groups, eps, gran, 3), &naive);
         }
     }
 
@@ -121,7 +115,6 @@ proptest! {
             &CoverageGraph::for_weighted_pairs(&h, &unique, &weights, eps),
             &naive
         );
-        prop_assert_eq!(&par_for_weighted_pairs(&h, &unique, &weights, eps, 3), &naive);
 
         // Raw-vs-weighted cost agreement: any selection of distinct pairs
         // costs the same as selecting all their duplicates in the raw
