@@ -2,10 +2,9 @@
 //!
 //! The persistent artifact store behind `osars compile`: a versioned,
 //! checksummed, little-endian binary encoding of a fully prepared corpus
-//! — hierarchy, review text, per-item extraction output, and the
-//! compressed segment reachability index — so a daemon can cold-start
-//! from one sequential read instead of re-running the extraction
-//! pipeline over every review.
+//! — hierarchy, review text and per-item extraction output — so a daemon
+//! can cold-start from one sequential read instead of re-running the
+//! extraction pipeline over every review.
 //!
 //! ## Format
 //!
@@ -18,10 +17,9 @@
 //! payload       prelude · block-length table · item blocks
 //! ```
 //!
-//! The payload is **block-framed**: a prelude (hierarchy, segment
-//! index, corpus name, `u32` block-length table) followed by one
-//! self-contained block per item holding that item's reviews *and* its
-//! extraction output. [`decode`] materializes everything eagerly;
+//! The payload is **block-framed**: a prelude (hierarchy, corpus name,
+//! `u32` block-length table) followed by one self-contained block per
+//! item holding that item's reviews *and* its extraction output. [`decode`] materializes everything eagerly;
 //! [`open_lazy`] decodes only the prelude and hands back an
 //! [`ItemStore`] that decodes each block on first touch — so a daemon's
 //! cold start is one sequential read plus the checksum sweep, with the
@@ -35,10 +33,11 @@
 //! insertion sequence** ([`Hierarchy::edge_list`]); decoding replays it
 //! through [`HierarchyBuilder`], which re-validates every rooted-DAG
 //! invariant and reproduces the adjacency arrays bit for bit. The
-//! matcher automaton and token interner are deliberately *not* stored:
-//! both are deterministic functions of the hierarchy, rebuilt in
-//! milliseconds, while the per-review extraction pass they accelerate —
-//! the true boot cost — is exactly what the stored
+//! matcher automaton, token interner and ancestor indexes are
+//! deliberately *not* stored: all are deterministic functions of the
+//! hierarchy (the segmented ancestor rows fill on first query, the dense
+//! closure builds on first use), while the per-review extraction pass
+//! they accelerate — the true boot cost — is exactly what the stored
 //! [`ExtractedItem`]s skip.
 //!
 //! Every decode error is a typed [`ArtifactError`]; a truncated file, a
@@ -55,14 +54,15 @@ use std::path::Path;
 
 use osa_core::Pair;
 use osa_datasets::{Corpus, ExtractedItem, ExtractedSentence, Item, Review};
-use osa_ontology::{HierarchyBuilder, NodeId, SegmentIndex};
+use osa_ontology::{HierarchyBuilder, NodeId};
 
 /// "OSAR", read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"OSAR");
 
 /// Current artifact layout version. Bumped on any change to the payload
 /// encoding; readers reject every other version rather than guessing.
-pub const VERSION: u32 = 1;
+/// Version 1 carried a segment-index section after the hierarchy.
+pub const VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
@@ -70,9 +70,7 @@ const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 /// one artifact file.
 #[derive(Debug, Clone)]
 pub struct Artifact {
-    /// The corpus (hierarchy + review text). The hierarchy's segment
-    /// index cache is pre-primed from the artifact, so segmented
-    /// ancestor queries never pay the build sweep.
+    /// The corpus (hierarchy + review text).
     pub corpus: Corpus,
     /// Extraction output per item, aligned with `corpus.items`.
     pub extracted: Vec<ExtractedItem>,
@@ -215,12 +213,6 @@ impl Enc {
         self.len(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
-    fn ids(&mut self, ids: &[NodeId]) {
-        self.len(ids.len());
-        for &n in ids {
-            self.u32(n.index() as u32);
-        }
-    }
     fn u32s(&mut self, vs: &[u32]) {
         self.len(vs.len());
         for &v in vs {
@@ -278,10 +270,6 @@ fn encode_block(item: &Item, ex: &ExtractedItem) -> Vec<u8> {
 /// Serialize a prepared corpus into artifact bytes. `extracted` must be
 /// the extraction output of `corpus.items`, in item order — extraction
 /// is impl-invariant, so output from either extract impl is valid.
-///
-/// Building the segment index is part of compilation: the encoder forces
-/// it (via [`Hierarchy::segment_index`]) so the artifact always carries
-/// it and loaders never pay the construction sweep.
 pub fn encode(corpus: &Corpus, extracted: &[ExtractedItem]) -> Vec<u8> {
     assert_eq!(
         corpus.items.len(),
@@ -306,13 +294,6 @@ pub fn encode(corpus: &Corpus, extracted: &[ExtractedItem]) -> Vec<u8> {
         e.u32(c.index() as u32);
     }
     e.u32(h.root().index() as u32);
-
-    // Section: segment index.
-    let (order, starts, par_off, par_entries) = h.segment_index().parts();
-    e.ids(order);
-    e.u32s(starts);
-    e.u32s(par_off);
-    e.ids(par_entries);
 
     // Section: corpus header + item block table + blocks. Each block's
     // byte length is recorded up front so a loader can index every
@@ -410,20 +391,6 @@ impl<'a> Cur<'a> {
     // millions of these, so per-element cursor arithmetic is the
     // difference between an I/O-bound and a compute-bound load.
 
-    fn ids(&mut self, n_nodes: usize) -> Result<Vec<NodeId>, ArtifactError> {
-        let n = self.len(4)?;
-        let bytes = self.take(4 * n)?;
-        let mut out = Vec::with_capacity(n);
-        for c in bytes.chunks_exact(4) {
-            let raw = u32::from_le_bytes(c.try_into().expect("4")) as usize;
-            if raw >= n_nodes {
-                return Err(ArtifactError::Malformed("node id out of range"));
-            }
-            out.push(NodeId::from_index(raw));
-        }
-        Ok(out)
-    }
-
     fn u32s(&mut self) -> Result<Vec<u32>, ArtifactError> {
         let n = self.len(4)?;
         let bytes = self.take(4 * n)?;
@@ -515,8 +482,8 @@ fn validate_header(data: &[u8]) -> Result<&[u8], ArtifactError> {
     Ok(payload)
 }
 
-/// Everything decoded before the item blocks: hierarchy (segment index
-/// primed), corpus name, and the block table.
+/// Everything decoded before the item blocks: hierarchy, corpus name,
+/// and the block table.
 struct Prelude {
     hierarchy: osa_ontology::Hierarchy,
     corpus_name: String,
@@ -554,16 +521,6 @@ fn parse_prelude(payload: &[u8]) -> Result<Prelude, ArtifactError> {
     if root != hierarchy.root() {
         return Err(ArtifactError::Malformed("stored root disagrees"));
     }
-
-    // Section: segment index — structurally validated against the
-    // rebuilt hierarchy before it is allowed to answer queries.
-    let order = c.ids(n_nodes)?;
-    let starts = c.u32s()?;
-    let par_off = c.u32s()?;
-    let par_entries = c.ids(n_nodes)?;
-    let seg = SegmentIndex::from_parts(&hierarchy, order, starts, par_off, par_entries)
-        .map_err(ArtifactError::Malformed)?;
-    hierarchy.prime_segment_index(seg);
 
     // Section: corpus header + item block table. Block contents are
     // NOT decoded here — only indexed — so the prelude parses in
@@ -684,15 +641,15 @@ pub fn decode(data: &[u8]) -> Result<Artifact, ArtifactError> {
 }
 
 /// A block-framed artifact opened for lazy loading: the prelude —
-/// hierarchy, primed segment index, block table — is decoded eagerly
-/// (microseconds, independent of review volume) while each item block
-/// is materialized on first touch through [`ItemStore::item`]. This is
-/// what makes an artifact-booted daemon's cold start I/O-bound: boot
-/// pays one sequential read plus the checksum sweep, never a per-review
-/// decode or extraction pass.
+/// hierarchy and block table — is decoded eagerly (microseconds,
+/// independent of review volume) while each item block is materialized
+/// on first touch through [`ItemStore::item`]. This is what makes an
+/// artifact-booted daemon's cold start I/O-bound: boot pays one
+/// sequential read plus the checksum sweep, never a per-review decode or
+/// extraction pass.
 #[derive(Debug)]
 pub struct LazyArtifact {
-    /// The rebuilt hierarchy, segment index primed from the artifact.
+    /// The rebuilt hierarchy.
     pub hierarchy: osa_ontology::Hierarchy,
     /// Corpus display name.
     pub corpus_name: String,
@@ -831,17 +788,18 @@ mod tests {
     }
 
     #[test]
-    fn decoded_hierarchy_is_primed_with_the_segment_index() {
+    fn decoded_hierarchy_answers_segmented_rows_like_the_dense_closure() {
         let (corpus, extracted) = tiny();
-        let expected = corpus.hierarchy.segment_index().parts().0.to_vec();
-        let art = decode(&encode(&corpus, &extracted)).expect("decodes");
-        // `segments` was seeded by the decoder; this get() hits the
-        // primed cache, not a fresh build (equality would hold either
-        // way, so also check via entry weight identity of parts()).
-        assert_eq!(
-            art.corpus.hierarchy.segment_index().parts().0,
-            &expected[..]
-        );
+        let bytes = encode(&corpus, &extracted);
+        let eager = decode(&bytes).expect("decodes").corpus.hierarchy;
+        let lazy = lazy_from_bytes(bytes).expect("opens").hierarchy;
+        let dense = corpus.hierarchy.ancestor_index();
+        for h in [&eager, &lazy] {
+            assert_eq!(h.segment_index().memo_footprint(), (0, 0));
+            for n in h.nodes() {
+                assert_eq!(h.segment_index().ancestors(n), dense.ancestors(n), "{n:?}");
+            }
+        }
     }
 
     #[test]
@@ -879,6 +837,18 @@ mod tests {
             decode(&wrong_version),
             Err(ArtifactError::WrongVersion { found, expected })
                 if found == VERSION + 1 && expected == VERSION
+        ));
+
+        // A version-1 file carries the segment section this reader no
+        // longer parses.
+        let mut v1 = good.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            decode(&v1),
+            Err(ArtifactError::WrongVersion {
+                found: 1,
+                expected: 2
+            })
         ));
 
         let mut swapped = good.clone();

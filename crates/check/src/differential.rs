@@ -206,11 +206,11 @@ fn chk_impl_matrix(s: &Scenario) -> Result<(), String> {
     Ok(())
 }
 
-/// The twin-oracle check of the compressed reachability index: dense CSR
-/// closure vs segmented index render **byte-identically** at every
-/// `jobs`. The dense closure is the oracle; the segment index is the
-/// only viable implementation at SNOMED scale — they may never disagree
-/// on a single output byte.
+/// The twin-oracle check of the ancestor implementations: dense CSR
+/// closure vs segmented (memoized) rows render **byte-identically** at
+/// every `jobs`. The dense closure is the oracle; the memoized rows are
+/// the only viable implementation at SNOMED scale — they may never
+/// disagree on a single output byte.
 fn chk_ancestor_impl_matrix(s: &Scenario) -> Result<(), String> {
     let c = corpus_of(s);
     for jobs in JOBS_MATRIX {
@@ -547,8 +547,8 @@ fn ancestor_names(h: &Hierarchy, ancestors: &[(osa_ontology::NodeId, u32)]) -> V
 }
 
 /// Rebuild `h` with its nodes inserted in a seeded random order: same
-/// names, same edges, permuted `NodeId`s (and hence a different internal
-/// topological layout for the segment index to chew on).
+/// names, same edges, permuted `NodeId`s (and hence different CSR row
+/// orders and a different BFS discovery order for the segmented walk).
 fn relabeled(h: &Hierarchy, seed: u64) -> Result<Hierarchy, String> {
     let mut order: Vec<osa_ontology::NodeId> = h.nodes().collect();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -568,7 +568,7 @@ fn relabeled(h: &Hierarchy, seed: u64) -> Result<Hierarchy, String> {
 }
 
 /// Ancestor queries are implementation- *and* labeling-invariant. On the
-/// synth DAG (multi-parent by construction) the segmented index must
+/// synth DAG (multi-parent by construction) the segmented rows must
 /// reproduce the dense closure node for node; and after relabeling the
 /// nodes — same names and edges, permuted `NodeId`s — every ancestor
 /// `(name, distance)` set must come out unchanged under both
@@ -586,10 +586,7 @@ fn chk_ancestor_relabel(s: &Scenario) -> Result<(), String> {
     }
     for node in original.nodes() {
         let reference = ancestor_names(original, original.ancestor_index().ancestors(node));
-        let seg = ancestor_names(
-            original,
-            &original.segment_index().ancestors_with_dist(node),
-        );
+        let seg = ancestor_names(original, original.segment_index().ancestors(node));
         if seg != reference {
             return Err(format!(
                 "segmented ancestors of '{}' disagree with the dense closure",
@@ -606,10 +603,7 @@ fn chk_ancestor_relabel(s: &Scenario) -> Result<(), String> {
             ),
             (
                 "segmented",
-                ancestor_names(
-                    &permuted,
-                    &permuted.segment_index().ancestors_with_dist(twin),
-                ),
+                ancestor_names(&permuted, permuted.segment_index().ancestors(twin)),
             ),
         ] {
             if got != reference {

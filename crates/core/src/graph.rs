@@ -192,7 +192,7 @@ pub struct GraphBuildPlan {
     /// Root distance (= concept depth) per target pair.
     root_dist: Vec<u32>,
     /// Entry weight of the ancestor index pass 2 walks (dense closure
-    /// entries, or segment-index array elements — the
+    /// entries, or the row memo's chunk slots — the
     /// `graph.closure.entries` metric).
     closure_entries: u64,
     /// Which ancestor index pass 2 walks per target pair.
@@ -204,7 +204,7 @@ pub struct GraphBuildPlan {
 #[derive(Clone, Copy)]
 enum AncestorSource<'h> {
     Dense(&'h AncestorIndex),
-    Segmented(&'h SegmentIndex),
+    Segmented(SegmentIndex<'h>),
 }
 
 impl<'h> AncestorSource<'h> {

@@ -197,7 +197,7 @@ impl HierarchyBuilder {
             depth,
             by_name: self.by_name,
             ancestor_index: std::sync::OnceLock::new(),
-            segments: std::sync::OnceLock::new(),
+            rows: std::sync::OnceLock::new(),
         })
     }
 }

@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::OnceLock;
 
+use crate::segment::RowMemo;
 use crate::{AncestorIndex, AncestorScratch, SegmentIndex};
 
 /// Identifier of a concept node inside a [`Hierarchy`].
@@ -75,8 +76,9 @@ pub struct Hierarchy {
     /// Lazily built ancestor-closure index (see [`AncestorIndex`]).
     /// Computed at most once per hierarchy; cloning clones the cache.
     pub(crate) ancestor_index: OnceLock<AncestorIndex>,
-    /// Lazily built compressed segment index (see [`SegmentIndex`]).
-    pub(crate) segments: OnceLock<SegmentIndex>,
+    /// Lazily created memo of ancestor rows (see [`SegmentIndex`]).
+    /// Cloning gives the clone an empty memo.
+    pub(crate) rows: OnceLock<RowMemo>,
 }
 
 impl Hierarchy {
@@ -221,25 +223,17 @@ impl Hierarchy {
             .get_or_init(|| AncestorIndex::build(self))
     }
 
-    /// The compressed segment index of this hierarchy, built on first use
-    /// and cached for the hierarchy's lifetime (thread-safe). The
-    /// memory-sublinear alternative to [`ancestor_index`]: `O(n)` state,
-    /// no closure ever materialized, and each queried node's row memoized
-    /// by [`SegmentIndex::ancestors`] (a cloned hierarchy starts with an
-    /// empty memo).
+    /// The memoized ancestor rows of this hierarchy (thread-safe). The
+    /// memory-sublinear alternative to [`ancestor_index`]: no closure is
+    /// ever materialized, each queried node's row is filled on first use
+    /// by [`SegmentIndex::ancestors`], and standing the memo up costs one
+    /// empty slot per 256 nodes. A cloned hierarchy starts with an empty
+    /// memo.
     ///
     /// [`ancestor_index`]: Self::ancestor_index
-    pub fn segment_index(&self) -> &SegmentIndex {
-        self.segments.get_or_init(|| SegmentIndex::build(self))
-    }
-
-    /// Seed the segment-index cache with a prebuilt (e.g. deserialized)
-    /// index, skipping the `O(n + e)` build on first query. A no-op when
-    /// the cache is already populated. `index` must describe this very
-    /// hierarchy — artifact loaders validate that via
-    /// [`SegmentIndex::from_parts`] before calling.
-    pub fn prime_segment_index(&self, index: SegmentIndex) {
-        let _ = self.segments.set(index);
+    pub fn segment_index(&self) -> SegmentIndex<'_> {
+        let memo = self.rows.get_or_init(|| RowMemo::new(self.node_count()));
+        SegmentIndex::new(self, memo)
     }
 
     /// [`ancestors_with_dist`](Self::ancestors_with_dist) into
@@ -417,7 +411,7 @@ impl Hierarchy {
         push_row(&mut self.parent_off, &mut self.parent_dat, child, parent);
         self.edge_list.push((parent, child));
         self.ancestor_index = OnceLock::new();
-        self.segments = OnceLock::new();
+        self.rows = OnceLock::new();
     }
 }
 

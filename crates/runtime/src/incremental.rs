@@ -6,11 +6,13 @@
 //! [`summarize_one`](crate::summarize_one)), the serve daemon, ingest,
 //! `osars summarize --item N` and `osars evaluate` all run
 //! [`ItemArtifacts::from_extracted`] (or [`build`](ItemArtifacts::build),
-//! which extracts first) and [`ItemArtifacts::summarize`], which is its
-//! two stages [`graph`](ItemArtifacts::graph) and
-//! [`try_solve`](ItemArtifacts::try_solve). The single-item CLI calls
-//! the stages itself, to explain the summary over the graph and to print
-//! a solver error instead of panicking.
+//! which extracts first) and its two stages [`graph`](ItemArtifacts::graph)
+//! and [`solve`](ItemArtifacts::solve) ([`summarize`](ItemArtifacts::summarize)
+//! runs both). A fresh item's build and graph are one `graph.build` stage,
+//! [`from_extracted_with_graph`](ItemArtifacts::from_extracted_with_graph).
+//! The single-item CLI solves with [`try_solve`](ItemArtifacts::try_solve),
+//! to explain the summary over the graph and to print a solver error
+//! instead of panicking.
 //!
 //! For one corpus item it caches everything that can be **extended**
 //! instead of rebuilt when reviews are appended (or truncated when
@@ -226,12 +228,32 @@ impl ItemArtifacts {
         }
     }
 
+    /// [`from_extracted`](Self::from_extracted), then the item's
+    /// [`graph`](Self::graph): a fresh item's whole `graph.build` stage —
+    /// plan, shard and assembly — timed in the registry and traced as
+    /// one span. The batch, `osars summarize --item N` and `osars
+    /// evaluate` build through this, so the registry's `graph.build`
+    /// histogram gets one sample per item.
+    pub fn from_extracted_with_graph(
+        hierarchy: &Hierarchy,
+        opts: &BatchOptions,
+        item: &Item,
+        extracted: ExtractedItem,
+        scratch: &mut WorkerScratch,
+        trace: Option<&osa_obs::Trace>,
+    ) -> (Self, CoverageGraph) {
+        count_extraction(&extracted, trace);
+        let (built, _us) = osa_obs::global().time_traced("graph.build", trace, || {
+            let art = Self::from_extracted(hierarchy, opts, item, extracted, scratch);
+            let graph = art.build_graph(hierarchy, opts, scratch, trace);
+            (art, graph)
+        });
+        built
+    }
+
     /// Summarize `item` from the cached artifacts: [`graph`](Self::graph)
-    /// then [`try_solve`](Self::try_solve). A solver error (a model over
-    /// the exact solvers' tableau cap) panics with its message, which
-    /// the batch records as an item failure and serve answers with a
-    /// 500. The caller owns the `extract` stage (running the extractor,
-    /// or looking the artifacts up).
+    /// then [`solve`](Self::solve). The caller owns the `extract` stage
+    /// (running the extractor, or looking the artifacts up).
     pub fn summarize(
         &self,
         hierarchy: &Hierarchy,
@@ -242,10 +264,7 @@ impl ItemArtifacts {
         trace: Option<&osa_obs::Trace>,
     ) -> ItemSummary {
         let graph = self.graph(hierarchy, opts, scratch, trace);
-        match self.try_solve(hierarchy, opts, idx, item, &graph, scratch, trace) {
-            Ok(summary) => summary,
-            Err(e) => panic!("{}: {e}", opts.algorithm.span_name()),
-        }
+        self.solve(hierarchy, opts, idx, item, &graph, scratch, trace)
     }
 
     /// The `graph.build` stage: the item's coverage graph under `opts`,
@@ -266,34 +285,62 @@ impl ItemArtifacts {
         scratch: &mut WorkerScratch,
         trace: Option<&osa_obs::Trace>,
     ) -> CoverageGraph {
-        let ex = &self.extracted;
-        if let Some(t) = trace {
-            t.count("extract.pairs", ex.pairs.len() as u64);
-            t.count("extract.sentences", ex.sentences.len() as u64);
-        }
-        let cached = self.cached(opts);
+        count_extraction(&self.extracted, trace);
         let (graph, _us) = osa_obs::global().time_traced("graph.build", trace, || {
-            if opts.granularity == Granularity::Pairs {
-                // Stage the compressed pairs `item_graph` builds over
-                // (and the rendering reads).
-                let _ = scratch.compress_into(&ex.pairs);
-            }
-            let graph = match cached {
-                Some(g) => CoverageGraph::assemble(
-                    &g.plan,
-                    opts.granularity,
-                    None,
-                    std::slice::from_ref(&g.shard),
-                ),
-                None => item_graph(hierarchy, ex, opts, GraphImpl::Indexed, scratch),
-            };
-            if let Some(t) = trace {
-                t.count("graph.candidates", graph.num_candidates() as u64);
-                t.count("graph.pairs", graph.num_pairs() as u64);
-            }
-            graph
+            self.build_graph(hierarchy, opts, scratch, trace)
         });
         graph
+    }
+
+    /// [`graph`](Self::graph) without the stage's timer and span.
+    fn build_graph(
+        &self,
+        hierarchy: &Hierarchy,
+        opts: &BatchOptions,
+        scratch: &mut WorkerScratch,
+        trace: Option<&osa_obs::Trace>,
+    ) -> CoverageGraph {
+        let ex = &self.extracted;
+        if opts.granularity == Granularity::Pairs {
+            // Stage the compressed pairs `item_graph` builds over (and
+            // the rendering reads).
+            let _ = scratch.compress_into(&ex.pairs);
+        }
+        let graph = match self.cached(opts) {
+            Some(g) => CoverageGraph::assemble(
+                &g.plan,
+                opts.granularity,
+                None,
+                std::slice::from_ref(&g.shard),
+            ),
+            None => item_graph(hierarchy, ex, opts, GraphImpl::Indexed, scratch),
+        };
+        if let Some(t) = trace {
+            t.count("graph.candidates", graph.num_candidates() as u64);
+            t.count("graph.pairs", graph.num_pairs() as u64);
+        }
+        graph
+    }
+
+    /// [`try_solve`](Self::try_solve), panicking on a solver error (a
+    /// model over the exact solvers' tableau cap) with its message,
+    /// which the batch records as an item failure and serve answers
+    /// with a 500.
+    #[allow(clippy::too_many_arguments)]
+    pub fn solve(
+        &self,
+        hierarchy: &Hierarchy,
+        opts: &BatchOptions,
+        idx: usize,
+        item: &Item,
+        graph: &CoverageGraph,
+        scratch: &WorkerScratch,
+        trace: Option<&osa_obs::Trace>,
+    ) -> ItemSummary {
+        match self.try_solve(hierarchy, opts, idx, item, graph, scratch, trace) {
+            Ok(summary) => summary,
+            Err(e) => panic!("{}: {e}", opts.algorithm.span_name()),
+        }
     }
 
     /// The solve stage over `graph`, the item's [`graph`](Self::graph)
@@ -366,6 +413,14 @@ impl ItemArtifacts {
     /// signature (and a greedy request would warm-start).
     pub fn has_graph_for(&self, opts: &BatchOptions) -> bool {
         self.cached(opts).is_some()
+    }
+}
+
+/// Count the extraction's sizes on the trace's open span.
+fn count_extraction(ex: &ExtractedItem, trace: Option<&osa_obs::Trace>) {
+    if let Some(t) = trace {
+        t.count("extract.pairs", ex.pairs.len() as u64);
+        t.count("extract.sentences", ex.sentences.len() as u64);
     }
 }
 

@@ -719,9 +719,10 @@ pub struct ItemSummary {
 /// Summarize every item of `corpus` in parallel.
 ///
 /// Each item runs the one per-item pipeline: extraction (the `extract`
-/// stage), [`ItemArtifacts::from_extracted`](incremental::ItemArtifacts::from_extracted)
-/// and [`ItemArtifacts::summarize`](incremental::ItemArtifacts::summarize),
-/// recorded on its own [`osa_obs::Trace`] (id = item index) under a
+/// stage), [`ItemArtifacts::from_extracted_with_graph`](incremental::ItemArtifacts::from_extracted_with_graph)
+/// (the `graph.build` stage) and
+/// [`ItemArtifacts::solve`](incremental::ItemArtifacts::solve), recorded
+/// on its own [`osa_obs::Trace`] (id = item index) under a
 /// `summarize_one` root span. The trees ride on the report as
 /// [`BatchReport::traces`], and [`BatchReport::stages`] aggregates their
 /// stage totals. Tracing only observes: the results are the same whether
@@ -755,10 +756,15 @@ pub fn summarize_corpus(corpus: &Corpus, opts: &BatchOptions) -> BatchReport<Ite
                     let (ex, _us) = obs.time_traced("extract", Some(&trace), || {
                         extractor.extract(item, ExtractImpl::Interned, &mut scratch.extract)
                     });
-                    let (artifacts, _us) = obs.time_traced("graph.build", Some(&trace), || {
-                        incremental::ItemArtifacts::from_extracted(h, opts, item, ex, scratch)
-                    });
-                    artifacts.summarize(h, opts, idx, item, scratch, Some(&trace))
+                    let (artifacts, graph) = incremental::ItemArtifacts::from_extracted_with_graph(
+                        h,
+                        opts,
+                        item,
+                        ex,
+                        scratch,
+                        Some(&trace),
+                    );
+                    artifacts.solve(h, opts, idx, item, &graph, scratch, Some(&trace))
                 };
                 (summary, trace.tree())
             };

@@ -269,8 +269,8 @@ impl EpochState {
     ) -> Self {
         // Warm the selected ancestor index before the state becomes
         // visible, so no request pays the one-off build. Under the
-        // segmented impl with an artifact boot this is a cache hit —
-        // the decoder primed the segment index already.
+        // segmented impl this only creates the empty row memo; each row
+        // fills on its first query.
         osa_runtime::warm_ancestor_index(&corpus.hierarchy, ancestor);
         let Corpus {
             name,
@@ -308,8 +308,8 @@ impl EpochState {
 
     /// Boot-time snapshot over a lazily opened artifact: every item at
     /// revision 0 pointing at its undecoded block. Boot cost is the
-    /// artifact's prelude (hierarchy + primed segment index + block
-    /// table) — independent of review volume.
+    /// artifact's prelude (hierarchy + block table) — independent of
+    /// review volume.
     fn new_lazy(artifact: osa_artifact::LazyArtifact, ancestor: AncestorImpl) -> Self {
         let osa_artifact::LazyArtifact {
             hierarchy,
@@ -540,7 +540,7 @@ pub fn serve_prepared(
 
 /// [`serve`], but booting from a lazily opened compiled artifact
 /// (`osars serve --artifacts`). Boot decodes only the artifact prelude
-/// — hierarchy, primed segment index, block table — so cold start is
+/// — hierarchy and block table — so cold start is
 /// one sequential read regardless of review volume; each item's block
 /// is decoded on first request. With `--warm` the cache pre-fill
 /// touches every block, trading the lazy boot back for a hot cache.

@@ -212,19 +212,20 @@ EXTRACT:  opinion extraction runs a token interner, an Aho–Corasick
           compare it with
 ANCESTOR: --ancestor-impl selects the ancestor-query index behind the
           coverage-graph builder: 'dense' (materialized CSR transitive
-          closure, the oracle) or 'segmented' (compressed reachability
-          index: O(n) memory, O(log n) locate, no closure ever built —
-          the only viable choice at SNOMED scale, i.e. --scale huge);
-          both yield byte-identical output
+          closure, the oracle) or 'segmented' (each queried concept's
+          ancestor row, filled by an upward BFS on first use and
+          memoized; no closure ever built — the only viable choice at
+          SNOMED scale, i.e. --scale huge); both yield byte-identical
+          output
 COMPILE:  compile runs extraction once and writes corpus + pre-extracted
-          items + segment index as a versioned, checksummed binary
-          artifact; `summarize --artifacts F` and `serve --artifacts F`
-          then boot from one sequential read, skipping extraction
-          entirely (summaries stay byte-identical to an in-memory
-          build). bench-ontology times dense vs segmented index
-          build/query on an --nodes synthetic DAG with --pairs weighted
-          pairs, plus artifact vs extraction cold-start on a
-          --domain/--scale corpus, and writes BENCH_ontology.json
+          items as a versioned, checksummed binary artifact;
+          `summarize --artifacts F` and `serve --artifacts F` then boot
+          from one sequential read, skipping extraction entirely
+          (summaries stay byte-identical to an in-memory build).
+          bench-ontology times dense vs segmented build/query on an
+          --nodes synthetic DAG with --pairs weighted pairs, plus
+          artifact vs extraction cold-start on a --domain/--scale
+          corpus, and writes BENCH_ontology.json
 METRICS:  --metrics FILE streams per-stage span events plus a final
           counter/gauge/histogram snapshot as JSON lines to FILE
           (validate with `osars check-metrics --metrics FILE`, which
@@ -508,9 +509,9 @@ fn cmd_hierarchy(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `osars compile`: run opinion extraction once and persist corpus +
-/// extracted items + segment index as the versioned, checksummed binary
-/// artifact that `summarize --artifacts` and `serve --artifacts` boot
-/// from with one sequential read.
+/// extracted items as the versioned, checksummed binary artifact that
+/// `summarize --artifacts` and `serve --artifacts` boot from with one
+/// sequential read.
 fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), String> {
     let corpus = open_corpus(flags)?;
     let out = PathBuf::from(required(flags, "out")?);
@@ -708,10 +709,14 @@ fn cmd_summarize_item(flags: &HashMap<String, String>) -> Result<(), String> {
             (Cow::Owned(sub), ex)
         }
     };
-    let (artifacts, _us) = obs.time_traced("graph.build", Some(&trace), || {
-        ItemArtifacts::from_extracted(&hierarchy, &opts, item, ex, &mut scratch)
-    });
-    let graph = artifacts.graph(&hierarchy, &opts, &mut scratch, Some(&trace));
+    let (artifacts, graph) = ItemArtifacts::from_extracted_with_graph(
+        &hierarchy,
+        &opts,
+        item,
+        ex,
+        &mut scratch,
+        Some(&trace),
+    );
     let solved = artifacts.try_solve(&hierarchy, &opts, idx, item, &graph, &scratch, Some(&trace));
     drop(root);
     let summary = solved.map_err(|e| e.to_string())?;
@@ -841,10 +846,9 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
             let (ex, _us) = obs.time_traced("extract", None, || {
                 extractor.extract(item, ExtractImpl::Interned, &mut scratch.extract)
             });
-            let (artifacts, _us) = obs.time_traced("graph.build", None, || {
-                ItemArtifacts::from_extracted(h, &opts, item, ex, scratch)
-            });
-            let greedy = artifacts.summarize(h, &opts, idx, item, scratch, None);
+            let (artifacts, graph) =
+                ItemArtifacts::from_extracted_with_graph(h, &opts, item, ex, scratch, None);
+            let greedy = artifacts.solve(h, &opts, idx, item, &graph, scratch, None);
             let ex = artifacts.extracted();
             let records: Vec<SentenceRecord> = ex
                 .sentences
@@ -1061,13 +1065,13 @@ fn cmd_bench_incremental(flags: &HashMap<String, String>) -> Result<(), String> 
     Ok(())
 }
 
-/// `osars bench-ontology`: the SNOMED-scale numbers behind the segment
-/// index. Phase 1 builds a synthetic multi-parent DAG (300k concepts by
-/// default) and times the dense closure oracle against the compressed
-/// segment index — build cost, resident entries, and query throughput
-/// over a clustered pair sample: the raw segment walk, the memo's
-/// first-touch fills, and the warm memoized queries the graph build
-/// makes (`query_ratio` = memoized / dense). Phase 2 measures daemon
+/// `osars bench-ontology`: the SNOMED-scale numbers behind the segmented
+/// ancestor rows. Phase 1 builds a synthetic multi-parent DAG (300k
+/// concepts by default) and times the dense closure oracle against the
+/// memoized rows — stand-up cost on a fresh hierarchy, resident entries,
+/// and query throughput over a clustered pair sample: the raw BFS walk,
+/// the memo's first-touch fills, and the warm memoized queries the graph
+/// build makes (`query_ratio` = memoized / dense). Phase 2 measures daemon
 /// cold-start on a real corpus: extraction boot vs artifact boot
 /// (compile once untimed, then one sequential read), asserting the
 /// rendered summaries stay byte-identical. Writes the JSON report to
@@ -1076,7 +1080,7 @@ fn cmd_bench_ontology(flags: &HashMap<String, String>) -> Result<(), String> {
     use osars::datasets::{sample_pairs, synthetic_ontology, SyntheticOntologyConfig};
     use osars::eval::Stopwatch;
     use osars::json::Value;
-    use osars::ontology::{AncestorIndex, NodeId, SegmentIndex, SegmentScratch};
+    use osars::ontology::{AncestorIndex, NodeId, SegmentScratch};
     use osars::runtime::incremental::ItemArtifacts;
     use osars::runtime::{render_item_summary, warm_ancestor_index, WorkerScratch};
     use rand::rngs::StdRng;
@@ -1096,9 +1100,10 @@ fn cmd_bench_ontology(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     let h = synthetic_ontology(&cfg, seed);
 
-    // Index build cost: materialized transitive closure vs segments.
+    // Stand-up cost: the materialized transitive closure vs the empty row
+    // memo, each on a hierarchy that has built neither.
     let (dense, dense_build_us) = Stopwatch::time(|| AncestorIndex::build(&h));
-    let (seg, segmented_build_us) = Stopwatch::time(|| SegmentIndex::build(&h));
+    let (seg, segmented_build_us) = Stopwatch::time(|| h.segment_index());
 
     // Query throughput over a clustered sample — the access pattern the
     // pipeline sees (hot subtrees), not uniform random nodes. Visit
@@ -1106,9 +1111,9 @@ fn cmd_bench_ontology(flags: &HashMap<String, String>) -> Result<(), String> {
     // compared so a silent twin divergence fails the bench.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xB_E4C4);
     let pairs = sample_pairs(&h, n_pairs, 64, &mut rng);
-    // The segment walk (the memo's fill routine and oracle) on every
-    // query, then the memoized rows the graph build reads: one first-touch
-    // fill per distinct concept, then every query again on the warm memo,
+    // The BFS walk (the memo's fill routine) on every query, then the
+    // memoized rows the graph build reads: one first-touch fill per
+    // distinct concept, then every query again on the warm memo,
     // timed in alternation with the dense closure and reported as the
     // median of `QUERY_ROUNDS` rounds each.
     const QUERY_ROUNDS: usize = 5;
@@ -1152,7 +1157,7 @@ fn cmd_bench_ontology(flags: &HashMap<String, String>) -> Result<(), String> {
         if dense_visits != walk_visits || dense_visits != seg_visits {
             return Err(format!(
                 "twin oracles disagree on total ancestor visits: dense {dense_visits}, \
-                 segment walk {walk_visits}, memoized {seg_visits}"
+                 BFS walk {walk_visits}, memoized {seg_visits}"
             ));
         }
     }
@@ -1165,12 +1170,11 @@ fn cmd_bench_ontology(flags: &HashMap<String, String>) -> Result<(), String> {
     let query_ratio = segmented_query_us / dense_query_us.max(1e-9);
     eprintln!(
         "index build: dense {dense_build_us:.0}µs ({} entries) vs segmented {segmented_build_us:.0}µs \
-         ({} entries, {} segments); {} queries: dense {dense_query_us:.0}µs, segment walk \
+         ({} entries); {} queries: dense {dense_query_us:.0}µs, BFS walk \
          {segmented_walk_us:.0}µs, memoized {segmented_query_us:.0}µs ({query_ratio:.2}× dense) \
          after filling {memo_rows} rows ({memo_entries} entries) in {segmented_fill_us:.0}µs",
         dense.entry_count(),
         seg.entry_weight(),
-        seg.segment_count(),
         pairs.len(),
     );
 
@@ -1273,7 +1277,6 @@ fn cmd_bench_ontology(flags: &HashMap<String, String>) -> Result<(), String> {
         ),
         ("dense_entries".into(), Value::from(dense.entry_count())),
         ("segmented_entries".into(), Value::from(seg.entry_weight())),
-        ("segments".into(), Value::from(seg.segment_count())),
         ("dense_query_us".into(), Value::Number(dense_query_us)),
         ("segmented_walk_us".into(), Value::Number(segmented_walk_us)),
         ("segmented_fill_us".into(), Value::Number(segmented_fill_us)),
@@ -1470,8 +1473,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // default hook from printing a backtrace per poisoned request.
     osars::serve::quiet_injected_panics();
     // `--artifacts FILE` boots lazily from a compiled artifact: one
-    // sequential read plus the prelude decode (hierarchy, pre-validated
-    // segment index, block table). Item blocks decode on first request
+    // sequential read plus the prelude decode (hierarchy, block
+    // table). Item blocks decode on first request
     // and the extraction pipeline never runs at boot.
     let lazy = match flag(flags, "artifacts") {
         Some(path) => Some(
