@@ -1,6 +1,6 @@
 //! The Section 4.2 integer linear program (and its LP relaxation).
 
-use osa_solver::{Cmp, IlpOptions, Model, SolverError, Status, VarId};
+use osa_solver::{Cmp, IlpOptions, Model, Solution, SolverError, Status, VarId};
 
 use crate::{CoverageGraph, Summarizer, Summary};
 
@@ -79,6 +79,40 @@ pub(crate) fn build_model(
     (m, xs, stats)
 }
 
+/// The summary a branch & bound result `sol` stands for, over the model
+/// [`build_model`] made for `graph` and `k` (with `x` variables `xs`)
+/// and seeded with the greedy warm start `warm`: the solver's selection
+/// when it is proven optimal, or when the search stopped at its node
+/// limit holding an incumbent strictly cheaper than `warm`. Otherwise the
+/// search found nothing strictly better than greedy, whose solution is
+/// then optimal (or the best known at the node limit).
+fn summary_of(
+    graph: &CoverageGraph,
+    k: usize,
+    xs: &[VarId],
+    sol: &Solution,
+    warm: Summary,
+) -> Summary {
+    let improved = match sol.status {
+        Status::Optimal => true,
+        Status::NodeLimit => sol.objective.is_finite() && sol.objective < warm.cost as f64,
+        Status::Infeasible | Status::Unbounded => false,
+    };
+    if !improved {
+        return warm;
+    }
+    let mut selected: Vec<usize> = xs
+        .iter()
+        .enumerate()
+        .filter(|(_, &x)| sol.value(x) > 0.5)
+        .map(|(u, _)| u)
+        .collect();
+    selected.truncate(k);
+    let cost = graph.cost_of(&selected);
+    debug_assert_eq!(cost as f64, sol.objective.round(), "ILP objective mismatch");
+    Summary { selected, cost }
+}
+
 /// Diagnostic hook for benches: expose the built model (hidden from docs).
 #[doc(hidden)]
 pub fn __diag_build_model(
@@ -142,23 +176,7 @@ impl Summarizer for IlpSummarizer {
         // The coverage ILP is bounded and well-formed, so the one error
         // left is a model too large for the dense tableau.
         let sol = model.solve_ilp_traced(&opts, trace)?;
-        Ok(match sol.status {
-            Status::Optimal => {
-                let mut selected: Vec<usize> = xs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &x)| sol.value(x) > 0.5)
-                    .map(|(u, _)| u)
-                    .collect();
-                selected.truncate(k);
-                let cost = graph.cost_of(&selected);
-                debug_assert_eq!(cost as f64, sol.objective.round(), "ILP objective mismatch");
-                Summary { selected, cost }
-            }
-            // The bound-seeded search found nothing strictly better:
-            // greedy's solution is proven optimal.
-            _ => warm,
-        })
+        Ok(summary_of(graph, k, &xs, &sol, warm))
     }
 
     fn name(&self) -> &'static str {
@@ -211,6 +229,56 @@ mod tests {
             let ilp = IlpSummarizer.summarize(&g, k);
             let greedy = GreedySummarizer.summarize(&g, k);
             assert!(ilp.cost <= greedy.cost, "k={k}");
+        }
+    }
+
+    #[test]
+    fn branch_and_bound_statuses_map_to_summaries() {
+        let (h, pairs) = two_level();
+        let g = crate::CoverageGraph::for_pairs(&h, &pairs, 0.5);
+        let k = 2;
+        let (model, xs, _) = build_model(&g, k, true);
+        // The cheapest and the dearest selections of k candidates.
+        let mut picks: Vec<(u64, Vec<usize>)> = (0..g.num_candidates())
+            .flat_map(|u| (u + 1..g.num_candidates()).map(move |v| vec![u, v]))
+            .map(|sel| (g.cost_of(&sel), sel))
+            .collect();
+        picks.sort();
+        let (best, dearest) = (picks[0].clone(), picks[picks.len() - 1].clone());
+        assert!(best.0 < dearest.0);
+        let warm = Summary {
+            selected: dearest.1.clone(),
+            cost: dearest.0,
+        };
+        let solution = |status, objective: f64, sel: &[usize]| {
+            let mut values = vec![0.0; model.num_vars()];
+            for &u in sel {
+                values[xs[u].index()] = 1.0;
+            }
+            Solution {
+                status,
+                objective,
+                values,
+            }
+        };
+        let map = |sol: &Solution| summary_of(&g, k, &xs, sol, warm.clone());
+
+        let proven = map(&solution(Status::Optimal, best.0 as f64, &best.1));
+        assert_eq!((proven.selected, proven.cost), (best.1.clone(), best.0));
+        // The node limit's incumbent beats greedy: it is kept.
+        let incumbent = map(&solution(Status::NodeLimit, best.0 as f64, &best.1));
+        assert_eq!(
+            (incumbent.selected, incumbent.cost),
+            (best.1.clone(), best.0)
+        );
+        // No incumbent, or none cheaper than greedy: greedy stands.
+        for sol in [
+            solution(Status::NodeLimit, f64::INFINITY, &[]),
+            solution(Status::NodeLimit, dearest.0 as f64, &dearest.1),
+            solution(Status::Infeasible, f64::INFINITY, &[]),
+        ] {
+            let s = map(&sol);
+            assert_eq!((s.selected, s.cost), (warm.selected.clone(), warm.cost));
         }
     }
 

@@ -228,14 +228,17 @@ impl ItemArtifacts {
         }
     }
 
-    /// [`from_extracted`](Self::from_extracted), then the item's
-    /// [`graph`](Self::graph): a fresh item's whole `graph.build` stage —
-    /// plan, shard and assembly — timed in the registry and traced as
-    /// one span. The batch, `osars summarize --item N` and `osars
-    /// evaluate` build through this, so the registry's `graph.build`
-    /// histogram gets one sample per item.
+    /// [`from_extracted`](Self::from_extracted) under `artifact_opts`,
+    /// then the item's [`graph`](Self::graph) under `opts`: a fresh
+    /// item's whole `graph.build` stage — plan, shard and assembly —
+    /// timed in the registry and traced as one span. The batch, `osars
+    /// summarize --item N` and `osars evaluate` pass the same options
+    /// twice, so the registry's `graph.build` histogram gets one sample
+    /// per item; the serve daemon builds a revision's artifacts under its
+    /// cache signature and the graph under the request's options.
     pub fn from_extracted_with_graph(
         hierarchy: &Hierarchy,
+        artifact_opts: &BatchOptions,
         opts: &BatchOptions,
         item: &Item,
         extracted: ExtractedItem,
@@ -244,7 +247,7 @@ impl ItemArtifacts {
     ) -> (Self, CoverageGraph) {
         count_extraction(&extracted, trace);
         let (built, _us) = osa_obs::global().time_traced("graph.build", trace, || {
-            let art = Self::from_extracted(hierarchy, opts, item, extracted, scratch);
+            let art = Self::from_extracted(hierarchy, artifact_opts, item, extracted, scratch);
             let graph = art.build_graph(hierarchy, opts, scratch, trace);
             (art, graph)
         });

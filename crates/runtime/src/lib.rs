@@ -759,6 +759,7 @@ pub fn summarize_corpus(corpus: &Corpus, opts: &BatchOptions) -> BatchReport<Ite
                     let (artifacts, graph) = incremental::ItemArtifacts::from_extracted_with_graph(
                         h,
                         opts,
+                        opts,
                         item,
                         ex,
                         scratch,

@@ -32,7 +32,10 @@
 //! [`osa_obs::Trace`]: the connection thread opens the `serve.request`
 //! root span, the worker records its queue wait and threads the trace
 //! through the summarization pipeline (`extract` → `graph.build` →
-//! `solve.*` become child spans with their counters attached). Completed
+//! `solve.*` become child spans with their counters attached). A lazy
+//! artifact boot decodes an item's block as `artifact.decode` instead of
+//! running `extract`, and a revision's first `graph.build` also holds
+//! the plan and shard its cached artifacts keep. Completed
 //! traces go to the [`FlightRecorder`] under **tail sampling** — errors
 //! and slow requests are always retained, healthy traffic is sampled —
 //! and successful responses echo the per-stage durations in a
@@ -85,8 +88,8 @@ use std::time::{Duration, Instant};
 
 use http::{read_request, write_response, ParseError, Request};
 use lru::LruCache;
-use osa_core::Granularity;
-use osa_datasets::{Corpus, ExtractedItem, Extractor, Item, Review};
+use osa_core::{CoverageGraph, Granularity};
+use osa_datasets::{Corpus, ExtractImpl, ExtractedItem, Extractor, Item, Review};
 use osa_obs::{Trace, TraceTree};
 use osa_ontology::{AncestorImpl, Hierarchy};
 use osa_runtime::incremental::ItemArtifacts;
@@ -213,32 +216,69 @@ impl ItemVersion {
         })
     }
 
-    /// This revision's pipeline artifacts, built at most once: from the
-    /// stored extraction output when present (artifact boots, eager or
-    /// lazy), otherwise through the full extraction pipeline.
-    fn artifacts(
+    /// This revision's extraction output, for its first artifact build:
+    /// the stored one when present (artifact boots), otherwise a run of
+    /// the extraction pipeline. Only that run is timed as the `extract`
+    /// stage; decoding a lazy boot's block is the `artifact.decode`
+    /// stage, and an eager boot's stored output is just cloned.
+    fn extraction(
+        &self,
+        extractor: &Extractor,
+        scratch: &mut WorkerScratch,
+        trace: Option<&Trace>,
+    ) -> ExtractedItem {
+        let obs = osa_obs::global();
+        match &self.source {
+            ItemSource::Ready {
+                preextracted: Some(ex),
+                ..
+            } => ex.clone(),
+            ItemSource::Ready {
+                item,
+                preextracted: None,
+            } => {
+                obs.time_traced("extract", trace, || {
+                    extractor.extract(item, ExtractImpl::Interned, &mut scratch.extract)
+                })
+                .0
+            }
+            ItemSource::Lazy { .. } => {
+                obs.time_traced("artifact.decode", trace, || self.materialized().1.clone())
+                    .0
+            }
+        }
+    }
+
+    /// This revision's pipeline artifacts, built under `artifact_opts`
+    /// at most once, and the coverage graph under `opts`: one
+    /// `graph.build` sample per call, which holds the plan and shard of
+    /// a first build as well as the graph's assembly.
+    fn artifacts_and_graph(
         &self,
         hierarchy: &Hierarchy,
         extractor: &Extractor,
+        artifact_opts: &BatchOptions,
         opts: &BatchOptions,
         scratch: &mut WorkerScratch,
-    ) -> &Arc<ItemArtifacts> {
-        self.artifacts.get_or_init(|| {
-            Arc::new(match &self.source {
-                ItemSource::Ready {
-                    item,
-                    preextracted: Some(ex),
-                } => ItemArtifacts::from_extracted(hierarchy, opts, item, ex.clone(), scratch),
-                ItemSource::Ready {
-                    item,
-                    preextracted: None,
-                } => ItemArtifacts::build(hierarchy, extractor, opts, item, scratch),
-                ItemSource::Lazy { .. } => {
-                    let (item, ex) = self.materialized();
-                    ItemArtifacts::from_extracted(hierarchy, opts, item, ex.clone(), scratch)
-                }
-            })
-        })
+        trace: Option<&Trace>,
+    ) -> (&Arc<ItemArtifacts>, CoverageGraph) {
+        let mut fresh = None;
+        let artifacts = self.artifacts.get_or_init(|| {
+            let ex = self.extraction(extractor, scratch, trace);
+            let (artifacts, graph) = ItemArtifacts::from_extracted_with_graph(
+                hierarchy,
+                artifact_opts,
+                opts,
+                self.item(),
+                ex,
+                scratch,
+                trace,
+            );
+            fresh = Some(graph);
+            Arc::new(artifacts)
+        });
+        let graph = fresh.unwrap_or_else(|| artifacts.graph(hierarchy, opts, scratch, trace));
+        (artifacts, graph)
     }
 }
 
@@ -686,8 +726,15 @@ fn warm_cache(
     let report = osa_runtime::BatchJob::new(&state.items)
         .jobs(workers)
         .run(|scratch, idx, iv| {
-            iv.artifacts(h, &state.extractor, artifact_opts, scratch)
-                .summarize(h, artifact_opts, idx, iv.item(), scratch, None)
+            let (artifacts, graph) = iv.artifacts_and_graph(
+                h,
+                &state.extractor,
+                artifact_opts,
+                artifact_opts,
+                scratch,
+                None,
+            );
+            artifacts.solve(h, artifact_opts, idx, iv.item(), &graph, scratch, None)
         });
     for summary in &report.results {
         let params = SummaryParams {
@@ -782,23 +829,22 @@ fn compute(
             injected_panic(format!("injected panic (serve, item {})", params.item));
         }
         // Per-item artifacts are built at most once per revision and
-        // shared: the `extract` stage is that lookup, which runs the
-        // extraction only on a revision's first touch. Summarizing reuses
-        // the cached extraction and (for the artifact signature) the
-        // mergeable graph state.
-        let (artifacts, _us) = obs.time_traced("extract", trace, || {
-            iv.artifacts(
-                &state.hierarchy,
-                &state.extractor,
-                &shared.artifact_opts,
-                scratch,
-            )
-        });
-        artifacts.summarize(
+        // shared; summarizing reuses the cached extraction and (for the
+        // artifact signature) the mergeable graph state.
+        let (artifacts, graph) = iv.artifacts_and_graph(
+            &state.hierarchy,
+            &state.extractor,
+            &shared.artifact_opts,
+            &params.opts,
+            scratch,
+            trace,
+        );
+        artifacts.solve(
             &state.hierarchy,
             &params.opts,
             params.item,
             iv.item(),
+            &graph,
             scratch,
             trace,
         )

@@ -8,13 +8,15 @@
 //! artificial variables and no phase 1 at all, which is exactly why it
 //! wins on this problem class.
 //!
-//! Each iteration picks the leaving row with one linear pass over the
-//! right-hand side (most negative first), gathers that row's nonzeros
-//! once, runs the ratio test over them in ascending column order, and
-//! pivots with the row-indexed kernel of [`crate::tableau`], which
-//! updates only the rows listed in the entering column's index. On the
-//! Figs. 4–5 coverage LPs a pivot row is ~3% nonzero and a pivot changes
-//! ~11 of ~530 rows. The rows themselves stay dense, so
+//! Each iteration picks the leaving row (most negative right-hand side,
+//! first on ties) among the rows the tableau keeps in its negative set,
+//! gathers that row's nonzeros once from the tableau's column index,
+//! runs the ratio test over them in ascending column order, and pivots
+//! with the row-indexed kernel of [`crate::tableau`], which updates only
+//! the rows listed in the entering column's index. On the Figs. 4–5
+//! coverage LPs (~530 rows × ~1,000 columns) a pivot row holds a few
+//! dozen nonzeros, and a pivot changes about ten rows. No step scans a
+//! whole row or the whole right-hand side. The rows themselves stay dense, so
 //! [`MAX_TABLEAU_CELLS`](crate::MAX_TABLEAU_CELLS) still bounds their
 //! storage, checked before the tableau or its column index is allocated.
 //!
@@ -24,10 +26,9 @@
 //! back to the two-phase primal.
 
 use crate::model::{Cmp, Model, Solution, Status};
-use crate::tableau::Tableau;
+use crate::tableau::{Tableau, TOL};
 use crate::SolverError;
 
-const TOL: f64 = 1e-9;
 const MAX_ITERS: usize = 200_000;
 
 /// Solve the LP relaxation of `model` with the dual simplex.
@@ -157,7 +158,7 @@ fn solve_counted(model: &Model) -> Result<(Solution, u64), SolverError> {
             t.add(i, j, coef);
         }
         t.add(i, nv + i, 1.0);
-        t.b[i] = *rhs;
+        t.set_rhs(i, *rhs);
         t.basis[i] = nv + i;
     }
     // Reduced-cost row (slack basis has zero basic costs): z_j = c_j ≥ 0.
@@ -170,10 +171,12 @@ fn solve_counted(model: &Model) -> Result<(Solution, u64), SolverError> {
     let allowed = |j: usize| j >= nv || !fixed[j];
 
     for _ in 0..MAX_ITERS {
-        // Leaving row: most negative rhs.
+        // Leaving row: most negative rhs, first one on ties. Rows off the
+        // tableau's negative set read at least `-TOL`, so never win.
         let mut pr: Option<usize> = None;
         let mut worst = -TOL;
-        for (r, &b) in t.b.iter().enumerate() {
+        for r in t.negative_rows() {
+            let b = t.rhs()[r];
             if b < worst {
                 worst = b;
                 pr = Some(r);
@@ -182,7 +185,7 @@ fn solve_counted(model: &Model) -> Result<(Solution, u64), SolverError> {
         let Some(pr) = pr else {
             // Primal feasible and dual feasible → optimal.
             let mut values = vec![0.0; nv];
-            for (&j, &b) in t.basis.iter().zip(&t.b) {
+            for (&j, &b) in t.basis.iter().zip(t.rhs()) {
                 if j < nv {
                     values[j] = b;
                 }

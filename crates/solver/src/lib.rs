@@ -15,10 +15,13 @@
 //!   with most-fractional branching and incumbent pruning.
 //!
 //! Both simplex methods keep a dense, row-major tableau and pivot with
-//! one shared row-indexed kernel: a pivot gathers the pivot row's
-//! nonzeros once and updates only the rows that a flat column index
-//! lists for the entering column, applying to every nonzero cell exactly
-//! the arithmetic of a full dense update. The rows stay dense, so a
+//! one shared row-indexed kernel whose cost grows with the nonzeros, not
+//! the tableau's width: a pivot gathers the pivot row's nonzeros from a
+//! bitmap of the cells a flat column index lists, and updates only the
+//! rows that index lists for the entering column, applying to every
+//! nonzero cell exactly the arithmetic of a full dense update. The
+//! tableau also keeps the set of rows with a negative right-hand side,
+//! where the dual looks for its leaving row. The rows stay dense, so a
 //! model whose `rows × (columns + 1)` tableau would exceed
 //! [`MAX_TABLEAU_CELLS`] is refused with [`SolverError::ModelTooLarge`]
 //! before the tableau or its column index is allocated.

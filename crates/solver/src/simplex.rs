@@ -45,11 +45,7 @@ impl Primal {
             if cb == 0.0 {
                 continue;
             }
-            let row = &t.a[r * t.n..(r + 1) * t.n];
-            for (zj, &aj) in t.z.iter_mut().zip(row) {
-                *zj -= cb * aj;
-            }
-            t.z0 -= cb * t.b[r];
+            t.price_out(r, cb);
         }
         // Basic columns must read exactly zero.
         for r in 0..t.m {
@@ -97,7 +93,7 @@ impl Primal {
                 }
                 let arc = t.at(r, pc);
                 if arc > TOL {
-                    let ratio = t.b[r] / arc;
+                    let ratio = t.rhs()[r] / arc;
                     let better = ratio < best_ratio - TOL
                         || (ratio < best_ratio + TOL
                             && pr.is_some_and(|p| t.basis[r] < t.basis[p]));
@@ -230,7 +226,7 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, SolverError> {
         for &(j, coef) in &r.terms {
             t.add(i, j, coef);
         }
-        t.b[i] = r.rhs;
+        t.set_rhs(i, r.rhs);
         match r.cmp {
             Cmp::Le => {
                 t.add(i, next_slack, 1.0);
@@ -290,8 +286,7 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, SolverError> {
                 None => {
                     // Redundant row: deactivate it.
                     p.active[r] = false;
-                    t.a[r * n..(r + 1) * n].fill(0.0);
-                    t.b[r] = 0.0;
+                    t.clear_row(r);
                 }
             }
         }
@@ -309,7 +304,7 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, SolverError> {
     let mut values = vec![0.0; nv];
     for r in 0..m {
         if p.active[r] && t.basis[r] < nv {
-            values[t.basis[r]] = t.b[r];
+            values[t.basis[r]] = t.rhs()[r];
         }
     }
     for (j, v) in model.vars.iter().enumerate() {

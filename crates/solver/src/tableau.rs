@@ -1,19 +1,25 @@
 //! The dense simplex tableau and the row-indexed pivot kernel that both
 //! simplex methods share.
 //!
-//! Rows are dense and row-major (`m × n`); the right-hand side is a
-//! separate contiguous vector, so a scan over it is one linear pass. A
-//! pivot touches only nonzeros:
+//! Rows are dense and row-major (`m × n`), the right-hand side a separate
+//! vector. A pivot costs per nonzero, not per tableau width:
 //!
+//! * A flat column index lists, for every column, the rows whose entry in
+//!   it has *ever* been nonzero: a singly linked list (`head`/`links`)
+//!   per column, deduplicated by a bitmap over the cells (`listed`). A
+//!   row joins a column's list when its entry there first becomes nonzero
+//!   and never leaves it, so every nonzero cell is listed.
 //! * [`Tableau::gather_row`] collects the pivot row's nonzero entries
-//!   once, in ascending column order. The caller's ratio test, the row
+//!   once, in ascending column order, by walking the set bits of that
+//!   row's slice of the bitmap. The caller's ratio test, the row
 //!   normalization and the reduced-cost update all run over that list.
-//! * The rows to update come from a flat column index: for every column a
-//!   singly linked list (`head`/`links`) of the rows whose entry in it has
-//!   *ever* been nonzero, deduplicated by a bitmap over the cells. A row
-//!   joins a column's list when its entry there first becomes nonzero and
-//!   never leaves it; rows whose entry is zero again are skipped, as a
-//!   full dense update skips them.
+//! * [`Tableau::pivot`] updates only the rows on the entering column's
+//!   list; rows whose entry there is zero again are skipped, as a full
+//!   dense update skips them.
+//! * A bitset marks the rows whose right-hand side is below `−TOL`. It is
+//!   kept exact wherever the right-hand side changes, so the dual's
+//!   leaving-row rule walks [`Tableau::negative_rows`] instead of every
+//!   row.
 //!
 //! Every nonzero cell receives exactly the floating-point operations of a
 //! full dense update (every cell of every row with a nonzero in the pivot
@@ -23,8 +29,23 @@
 
 use crate::SolverError;
 
+/// A right-hand side below `−TOL` marks its row primal infeasible.
+pub(crate) const TOL: f64 = 1e-9;
+
 /// End of a column list.
 const NIL: u32 = u32::MAX;
+
+/// Indices of the set bits of `bits`, ascending.
+#[inline]
+fn ones(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            i
+        })
+    })
+}
 
 /// For every column, the rows whose entry in it has ever been nonzero.
 struct ColumnIndex {
@@ -59,10 +80,15 @@ pub(crate) struct Tableau {
     pub m: usize,
     /// Columns, the right-hand side excluded.
     pub n: usize,
-    /// Row-major `m × n` coefficients.
-    pub a: Vec<f64>,
-    /// Right-hand side, one entry per row.
-    pub b: Vec<f64>,
+    /// Row-major `m × n` coefficients; every nonzero cell is listed in
+    /// `cols`, so only [`add`](Self::add), [`clear_row`](Self::clear_row)
+    /// and the pivot write them.
+    a: Vec<f64>,
+    /// Right-hand side, one entry per row; written through
+    /// [`set_rhs`](Self::set_rhs) and the pivot, which keep `negative`.
+    b: Vec<f64>,
+    /// One bit per row: is `b[r] < −TOL`?
+    negative: Vec<u64>,
     /// Basic variable (column index) of each row.
     pub basis: Vec<usize>,
     /// Reduced costs, one per column.
@@ -89,6 +115,7 @@ impl Tableau {
             n,
             a: vec![0.0; m * n],
             b: vec![0.0; m],
+            negative: vec![0; m.div_ceil(64)],
             basis: vec![0; m],
             z: vec![0.0; n],
             z0: 0.0,
@@ -110,23 +137,85 @@ impl Tableau {
         self.a[r * self.n + c]
     }
 
+    /// Subtract `cb` times row `r`, right-hand side included, from the
+    /// reduced-cost row: price out the row's basic variable of cost `cb`.
+    pub fn price_out(&mut self, r: usize, cb: f64) {
+        let row = &self.a[r * self.n..(r + 1) * self.n];
+        for (zj, &aj) in self.z.iter_mut().zip(row) {
+            *zj -= cb * aj;
+        }
+        self.z0 -= cb * self.b[r];
+    }
+
+    /// Zero row `r`, right-hand side included. Its cells stay listed.
+    pub fn clear_row(&mut self, r: usize) {
+        self.a[r * self.n..(r + 1) * self.n].fill(0.0);
+        self.set_rhs(r, 0.0);
+    }
+
     /// Add `v` to entry `(r, c)` while the tableau is being filled.
     pub fn add(&mut self, r: usize, c: usize, v: f64) {
         self.a[r * self.n + c] += v;
         self.cols.insert(r, c);
     }
 
-    /// Collect the nonzeros of row `r` for the next [`pivot`](Self::pivot).
+    /// The right-hand side, one entry per row.
+    pub fn rhs(&self) -> &[f64] {
+        &self.b
+    }
+
+    /// Set row `r`'s right-hand side to `v`.
+    pub fn set_rhs(&mut self, r: usize, v: f64) {
+        self.b[r] = v;
+        self.mark(r);
+    }
+
+    /// Record whether row `r`'s right-hand side is below `−TOL`.
+    #[inline]
+    fn mark(&mut self, r: usize) {
+        let bit = 1u64 << (r % 64);
+        if self.b[r] < -TOL {
+            self.negative[r / 64] |= bit;
+        } else {
+            self.negative[r / 64] &= !bit;
+        }
+    }
+
+    /// The rows whose right-hand side is below `−TOL`, ascending.
+    pub fn negative_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.negative
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &bits)| ones(bits).map(move |i| w * 64 + i))
+    }
+
+    /// Collect the nonzeros of row `r` for the next [`pivot`](Self::pivot):
+    /// the nonzero cells of the row's slice of the `listed` bitmap,
+    /// ascending.
     pub fn gather_row(&mut self, r: usize) {
         self.prow.clear();
-        let row = &self.a[r * self.n..(r + 1) * self.n];
-        self.prow.extend(
-            row.iter()
-                .enumerate()
-                .filter(|&(_, &v)| v != 0.0)
-                .map(|(c, &v)| (c as u32, v)),
-        );
         self.prow_of = r;
+        let (lo, hi) = (r * self.n, (r + 1) * self.n);
+        if lo == hi {
+            return;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        for w in first..=last {
+            let mut bits = self.cols.listed[w];
+            if w == first {
+                bits &= !0u64 << (lo % 64);
+            }
+            if w == last {
+                bits &= !0u64 >> (63 - (hi - 1) % 64);
+            }
+            for i in ones(bits) {
+                let cell = w * 64 + i;
+                let v = self.a[cell];
+                if v != 0.0 {
+                    self.prow.push(((cell - lo) as u32, v));
+                }
+            }
+        }
     }
 
     /// The gathered row's nonzeros `(column, value)`, ascending by column.
@@ -149,6 +238,7 @@ impl Tableau {
             row[*c as usize] = *v;
         }
         self.b[pr] *= inv;
+        self.mark(pr);
         let bp = self.b[pr];
 
         let mut link = self.cols.head[pc];
@@ -176,6 +266,7 @@ impl Tableau {
             }
             row[pc] = 0.0; // exact zero against drift
             self.b[r] -= f * bp;
+            self.mark(r);
         }
 
         let f = self.z[pc];
@@ -187,5 +278,117 @@ impl Tableau {
             self.z[pc] = 0.0;
         }
         self.basis[pr] = pc;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A seeded xorshift generator, enough to draw test tableaus.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// A random `m × n` tableau with small integer entries, so that
+    /// eliminations cancel cells to exactly zero and ratio-free pivots
+    /// stay well conditioned over a few dozen steps. Widths around and
+    /// at multiples of 64 put row boundaries inside and at the ends of
+    /// the bitmap's words.
+    fn random_tableau(rng: &mut Rng) -> Tableau {
+        let m = 1 + rng.below(24);
+        let n = [1, 7, 63, 64, 65, 100, 128, 130][rng.below(8)];
+        let density = 1 + rng.below(4);
+        let mut t = Tableau::new(m, n).unwrap();
+        for r in 0..m {
+            for c in 0..n {
+                if rng.below(8) < density {
+                    t.add(r, c, rng.below(7) as f64 - 3.0);
+                }
+            }
+            t.set_rhs(r, rng.below(9) as f64 - 4.0);
+        }
+        for c in 0..n {
+            t.z[c] = rng.below(4) as f64;
+        }
+        t
+    }
+
+    /// The kernel's indexes agree with the dense cells: every row
+    /// gathers exactly its dense nonzeros in column order, every column
+    /// list holds each of its rows once with their bits set (and no
+    /// other bits), every nonzero cell is listed, and the negative set
+    /// is exactly the rows with a right-hand side below `−TOL`.
+    fn assert_indexes_exact(t: &mut Tableau) {
+        let (m, n) = (t.m, t.n);
+        for r in 0..m {
+            t.gather_row(r);
+            let dense: Vec<(u32, u64)> = (0..n)
+                .filter(|&c| t.at(r, c) != 0.0)
+                .map(|c| (c as u32, t.at(r, c).to_bits()))
+                .collect();
+            let gathered: Vec<(u32, u64)> = t
+                .gathered()
+                .iter()
+                .map(|&(c, v)| (c, v.to_bits()))
+                .collect();
+            assert_eq!(gathered, dense, "row {r} gathers its dense nonzeros");
+        }
+        let mut on_list = vec![false; m * n];
+        for c in 0..n {
+            let mut link = t.cols.head[c];
+            while link != NIL {
+                let (r, next) = t.cols.links[link as usize];
+                let cell = r as usize * n + c;
+                assert!(!on_list[cell], "row {r} twice on column {c}'s list");
+                on_list[cell] = true;
+                link = next;
+            }
+        }
+        for (cell, &listed) in on_list.iter().enumerate() {
+            let bit = t.cols.listed[cell / 64] >> (cell % 64) & 1 == 1;
+            assert_eq!(bit, listed, "cell {cell}: bit and list disagree");
+            assert!(
+                listed || t.a[cell] == 0.0,
+                "nonzero cell ({}, {}) is off its column's list",
+                cell / n,
+                cell % n
+            );
+        }
+        let negative: Vec<usize> = (0..m).filter(|&r| t.rhs()[r] < -TOL).collect();
+        assert_eq!(t.negative_rows().collect::<Vec<_>>(), negative);
+    }
+
+    #[test]
+    fn kernel_indexes_stay_exact_after_every_pivot() {
+        for seed in 1..=300u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let mut t = random_tableau(&mut rng);
+            assert_indexes_exact(&mut t);
+            for _ in 0..2 * t.m {
+                // Leave on the dual's row when there is one, else on a
+                // random row; enter on a random well-sized entry of it.
+                let r = t.negative_rows().next().unwrap_or(rng.below(t.m));
+                t.gather_row(r);
+                let entering: Vec<usize> = t
+                    .gathered()
+                    .iter()
+                    .filter(|&&(_, v)| v.abs() >= 0.5)
+                    .map(|&(c, _)| c as usize)
+                    .collect();
+                if entering.is_empty() {
+                    continue;
+                }
+                t.pivot(entering[rng.below(entering.len())]);
+                assert_indexes_exact(&mut t);
+            }
+        }
     }
 }

@@ -712,6 +712,7 @@ fn cmd_summarize_item(flags: &HashMap<String, String>) -> Result<(), String> {
     let (artifacts, graph) = ItemArtifacts::from_extracted_with_graph(
         &hierarchy,
         &opts,
+        &opts,
         item,
         ex,
         &mut scratch,
@@ -847,7 +848,7 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
                 extractor.extract(item, ExtractImpl::Interned, &mut scratch.extract)
             });
             let (artifacts, graph) =
-                ItemArtifacts::from_extracted_with_graph(h, &opts, item, ex, scratch, None);
+                ItemArtifacts::from_extracted_with_graph(h, &opts, &opts, item, ex, scratch, None);
             let greedy = artifacts.solve(h, &opts, idx, item, &graph, scratch, None);
             let ex = artifacts.extracted();
             let records: Vec<SentenceRecord> = ex

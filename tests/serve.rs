@@ -606,6 +606,123 @@ fn warm_boots_answer_the_first_request_from_cache() {
     }
 }
 
+/// On a lazy artifact boot no request runs the extractor: the first
+/// `/summary/0` times the block decode as `artifact.decode` and has no
+/// `extract` entry, and every computed request adds exactly one
+/// `graph.build` sample to the registry, whose plan and shard on a
+/// revision's first touch are part of it. The daemon runs as its own
+/// `osars serve` process, so no other test's requests reach its
+/// registry.
+#[test]
+fn artifact_boot_attributes_decode_and_graph_build_per_request() {
+    use osars::datasets::{ExtractImpl, Extractor};
+    use osars::text::ExtractScratch;
+    use std::io::{BufRead, BufReader};
+    use std::process::{Child, Stdio};
+
+    /// Kills the daemon however the test ends.
+    struct Daemon(Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let corpus = phones_small();
+    let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
+    let mut scratch = ExtractScratch::default();
+    let extracted: Vec<_> = corpus
+        .items
+        .iter()
+        .map(|it| extractor.extract(it, ExtractImpl::Interned, &mut scratch))
+        .collect();
+    let dir = std::env::temp_dir().join(format!("osars_serve_stages_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("phones.osar");
+    std::fs::write(&path, osars::artifact::encode(&corpus, &extracted)).unwrap();
+
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_osars"))
+            .args(["serve", "--artifacts"])
+            .arg(&path)
+            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn osars serve"),
+    );
+    // Held open until the daemon is killed, so it never writes to a
+    // closed pipe.
+    let mut stderr = BufReader::new(daemon.0.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr
+        .read_line(&mut banner)
+        .expect("read the listening banner");
+    let addr: std::net::SocketAddr = banner
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("no address in banner {banner:?}"));
+
+    let stages = |headers: &HashMap<String, String>| -> Vec<String> {
+        headers
+            .get("server-timing")
+            .expect("Server-Timing header")
+            .split(", ")
+            .map(|e| e.split(';').next().unwrap().to_owned())
+            .collect()
+    };
+    let (s, headers, body) = get(addr, "/summary/0");
+    assert_eq!(s, 200, "{body}");
+    let first = stages(&headers);
+    assert!(!first.iter().any(|n| n == "extract"), "{first:?}");
+    for stage in ["artifact.decode", "graph.build", "solve.greedy"] {
+        assert!(first.iter().any(|n| n == stage), "{first:?} lacks {stage}");
+    }
+
+    // Distinct parameters, so every request misses the cache and runs
+    // the pipeline: first touches of items 1 and 2, then cached
+    // artifacts at other k and granularity.
+    let targets = [
+        "/summary/1",
+        "/summary/0?k=2",
+        "/summary/2?granularity=pairs",
+        "/summary/1?k=4",
+    ];
+    for target in targets {
+        let (s, headers, body) = get(addr, target);
+        assert_eq!(s, 200, "{target}: {body}");
+        assert_eq!(
+            headers.get("x-osars-cache").map(String::as_str),
+            Some("miss")
+        );
+        assert!(!stages(&headers).iter().any(|n| n == "extract"), "{target}");
+    }
+    let (s, _, metrics) = get(addr, "/metrics");
+    assert_eq!(s, 200);
+    let count = |name: &str| -> Option<u64> {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("osars_{name}_count ")))
+            .map(|v| v.parse().expect("numeric count"))
+    };
+    assert_eq!(
+        count("graph_build"),
+        Some(1 + targets.len() as u64),
+        "{metrics}"
+    );
+    assert_eq!(
+        count("artifact_decode"),
+        Some(3),
+        "one decode per item touched"
+    );
+    assert_eq!(count("extract"), None, "no extractor run: {metrics}");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // --- incremental ingest & per-item revisions --------------------------------
 
 /// The tentpole property over HTTP: an ingest to one item leaves every
