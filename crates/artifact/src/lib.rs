@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::ops::Range;
 use std::path::Path;
 
 use osa_core::Pair;
@@ -219,11 +220,12 @@ impl Enc {
             self.u32(v);
         }
     }
-    /// Indices into in-memory vectors (pairs, sentences) — always far
-    /// below `u32::MAX`, so four bytes per lane, not eight.
-    fn indices(&mut self, vs: &[usize]) {
-        self.len(vs.len());
-        for &v in vs {
+    /// A run of indices into an in-memory vector (a sentence's pairs, a
+    /// review's sentences), written as its index list — always far below
+    /// `u32::MAX`, so four bytes per lane, not eight.
+    fn run(&mut self, r: Range<usize>) {
+        self.len(r.len());
+        for v in r {
             self.u32(u32::try_from(v).expect("index fits u32"));
         }
     }
@@ -252,13 +254,13 @@ fn encode_block(item: &Item, ex: &ExtractedItem) -> Vec<u8> {
     b.len(ex.sentences.len());
     for s in &ex.sentences {
         b.str(&s.text);
-        b.u32s(&s.tokens);
-        b.indices(&s.pair_indices);
+        b.u32s(&ex.token_ids[s.tokens.clone()]);
+        b.run(s.pair_indices.clone());
         b.f64(s.sentiment);
     }
     b.len(ex.reviews.len());
     for r in &ex.reviews {
-        b.indices(r);
+        b.run(r.clone());
     }
     b.len(ex.tokens.len());
     for t in &ex.tokens {
@@ -391,28 +393,36 @@ impl<'a> Cur<'a> {
     // millions of these, so per-element cursor arithmetic is the
     // difference between an I/O-bound and a compute-bound load.
 
-    fn u32s(&mut self) -> Result<Vec<u32>, ArtifactError> {
+    /// A `u32` list, appended to `out`; returns its run of `out`.
+    fn u32s_into(&mut self, out: &mut Vec<u32>) -> Result<Range<usize>, ArtifactError> {
         let n = self.len(4)?;
         let bytes = self.take(4 * n)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4")))
-            .collect())
+        let from = out.len();
+        out.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4"))),
+        );
+        Ok(from..out.len())
     }
 
-    /// `usize` indices bounded by `limit`, stored as u32 lanes.
-    fn indices(&mut self, limit: usize) -> Result<Vec<usize>, ArtifactError> {
+    /// An index list that must be the run `from..from + n`, each index
+    /// below `limit`.
+    fn run(&mut self, from: usize, limit: usize) -> Result<Range<usize>, ArtifactError> {
         let n = self.len(4)?;
         let bytes = self.take(4 * n)?;
-        let mut out = Vec::with_capacity(n);
-        for c in bytes.chunks_exact(4) {
+        for (k, c) in bytes.chunks_exact(4).enumerate() {
             let raw = u32::from_le_bytes(c.try_into().expect("4")) as usize;
             if raw >= limit {
                 return Err(ArtifactError::Malformed("index out of range"));
             }
-            out.push(raw);
+            if raw != from + k {
+                return Err(ArtifactError::Malformed(
+                    "index list is not the next contiguous run",
+                ));
+            }
         }
-        Ok(out)
+        Ok(from..from + n)
     }
 
     fn pairs(&mut self, n_nodes: usize) -> Result<Vec<Pair>, ArtifactError> {
@@ -570,16 +580,15 @@ fn decode_block(bytes: &[u8], n_nodes: usize) -> Result<(Item, ExtractedItem), A
     let item = Item { name, reviews };
 
     let pairs = c.pairs(n_nodes)?;
-    let n_pairs = pairs.len();
     let n_sentences = c.len(8)?;
     let mut sentences = Vec::with_capacity(n_sentences);
+    let mut token_ids = Vec::new();
+    let mut next_pair = 0;
     for _ in 0..n_sentences {
         let text = c.str()?;
-        let tokens = c.u32s()?;
-        let pair_indices = c.indices(n_pairs.max(1))?;
-        if n_pairs == 0 && !pair_indices.is_empty() {
-            return Err(ArtifactError::Malformed("index out of range"));
-        }
+        let tokens = c.u32s_into(&mut token_ids)?;
+        let pair_indices = c.run(next_pair, pairs.len())?;
+        next_pair = pair_indices.end;
         let sentiment = c.f64()?;
         sentences.push(ExtractedSentence {
             text,
@@ -588,19 +597,25 @@ fn decode_block(bytes: &[u8], n_nodes: usize) -> Result<(Item, ExtractedItem), A
             sentiment,
         });
     }
+    if next_pair != pairs.len() {
+        return Err(ArtifactError::Malformed("sentences do not cover the pairs"));
+    }
     let n_ex_reviews = c.len(4)?;
-    let ex_reviews: Vec<Vec<usize>> = (0..n_ex_reviews)
-        .map(|_| c.indices(n_sentences.max(1)))
-        .collect::<Result<_, _>>()?;
-    if n_sentences == 0 && ex_reviews.iter().any(|r| !r.is_empty()) {
-        return Err(ArtifactError::Malformed("index out of range"));
+    let mut ex_reviews = Vec::with_capacity(n_ex_reviews);
+    let mut next_sentence = 0;
+    for _ in 0..n_ex_reviews {
+        let r = c.run(next_sentence, n_sentences)?;
+        next_sentence = r.end;
+        ex_reviews.push(r);
+    }
+    if next_sentence != n_sentences {
+        return Err(ArtifactError::Malformed(
+            "reviews do not cover the sentences",
+        ));
     }
     let n_tokens = c.len(4)?;
     let tokens: Vec<String> = (0..n_tokens).map(|_| c.str()).collect::<Result<_, _>>()?;
-    if sentences
-        .iter()
-        .any(|s| s.tokens.iter().any(|&t| t as usize >= tokens.len()))
-    {
+    if token_ids.iter().any(|&t| t as usize >= tokens.len()) {
         return Err(ArtifactError::Malformed("token id out of range"));
     }
     if c.off != bytes.len() {
@@ -613,6 +628,7 @@ fn decode_block(bytes: &[u8], n_nodes: usize) -> Result<(Item, ExtractedItem), A
             sentences,
             reviews: ex_reviews,
             tokens,
+            token_ids,
         },
     ))
 }
@@ -858,5 +874,62 @@ mod tests {
         let mut garbage = good;
         garbage[0..4].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
         assert!(matches!(decode(&garbage), Err(ArtifactError::BadMagic(_))));
+    }
+
+    /// An item block with two pairs and the given index lists: one
+    /// sentence per entry of `sentence_pairs`, one review per entry of
+    /// `review_sentences`.
+    fn block(sentence_pairs: &[&[u32]], review_sentences: &[&[u32]]) -> Vec<u8> {
+        let mut b = Enc { buf: Vec::new() };
+        b.str("item");
+        b.len(0);
+        b.pairs(&[
+            Pair::new(NodeId::from_index(1), 0.5),
+            Pair::new(NodeId::from_index(1), -0.5),
+        ]);
+        b.len(sentence_pairs.len());
+        for &pairs in sentence_pairs {
+            b.str("the screen.");
+            b.u32s(&[]);
+            b.u32s(pairs);
+            b.f64(0.5);
+        }
+        b.len(review_sentences.len());
+        for &sentences in review_sentences {
+            b.u32s(sentences);
+        }
+        b.len(0);
+        b.buf
+    }
+
+    #[test]
+    fn decode_block_requires_contiguous_runs() {
+        let (_, ex) = decode_block(&block(&[&[0], &[], &[1]], &[&[0, 1], &[2], &[]]), 2)
+            .expect("contiguous runs decode");
+        let runs: Vec<_> = ex
+            .sentences
+            .iter()
+            .map(|s| s.pair_indices.clone())
+            .collect();
+        assert_eq!(runs, vec![0..1, 1..1, 1..2]);
+        assert_eq!(ex.reviews, vec![0..2, 2..3, 3..3]);
+
+        let not_next = "index list is not the next contiguous run";
+        for (sentence_pairs, review_sentences, what) in [
+            (&[&[1][..], &[0]][..], &[&[0, 1][..]][..], not_next),
+            (&[&[0, 0]], &[&[0]], not_next),
+            (&[&[0], &[0, 1]], &[&[0, 1]], not_next),
+            (&[&[0], &[1]], &[&[1], &[0]], not_next),
+            (&[&[0], &[1]], &[&[0], &[0, 1]], not_next),
+            (&[&[0], &[1]], &[&[0, 2]], "index out of range"),
+            (&[&[0], &[2]], &[&[0, 1]], "index out of range"),
+            (&[&[0]], &[&[0]], "sentences do not cover the pairs"),
+            (&[&[0], &[1]], &[&[0]], "reviews do not cover the sentences"),
+        ] {
+            match decode_block(&block(sentence_pairs, review_sentences), 2) {
+                Err(ArtifactError::Malformed(got)) => assert_eq!(got, what),
+                other => panic!("{sentence_pairs:?} / {review_sentences:?}: {other:?}"),
+            }
+        }
     }
 }

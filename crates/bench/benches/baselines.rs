@@ -19,7 +19,7 @@ fn bench_baselines(c: &mut Criterion) {
         .enumerate()
         .map(|(si, s)| SentenceRecord {
             tokens: ex.sentence_tokens(si),
-            pairs: s.pair_indices.iter().map(|&pi| ex.pairs[pi]).collect(),
+            pairs: ex.pairs[s.pair_indices.clone()].to_vec(),
         })
         .collect();
     let k = 6;

@@ -35,8 +35,8 @@ fn env_usize(name: &str, default: usize) -> usize {
 fn summary_pairs(ex: &ExtractedItem, selected: &[usize]) -> Vec<Pair> {
     selected
         .iter()
-        .flat_map(|&si| ex.sentences[si].pair_indices.iter())
-        .map(|&pi| ex.pairs[pi])
+        .flat_map(|&si| &ex.pairs[ex.sentences[si].pair_indices.clone()])
+        .copied()
         .collect()
 }
 
@@ -83,7 +83,7 @@ fn main() {
             .enumerate()
             .map(|(si, s)| SentenceRecord {
                 tokens: ex.sentence_tokens(si),
-                pairs: s.pair_indices.iter().map(|&pi| ex.pairs[pi]).collect(),
+                pairs: ex.pairs[s.pair_indices.clone()].to_vec(),
             })
             .collect();
         let graph = CoverageGraph::for_groups(
@@ -171,18 +171,16 @@ fn truncate_sentences(ex: &mut ExtractedItem, cap: usize) {
         return;
     }
     ex.sentences.truncate(cap);
-    let live_pairs: usize = ex
+    let (live_pairs, live_ids) = ex
         .sentences
-        .iter()
-        .flat_map(|s| s.pair_indices.iter())
-        .copied()
-        .max()
-        .map_or(0, |m| m + 1);
+        .last()
+        .map_or((0, 0), |s| (s.pair_indices.end, s.tokens.end));
     ex.pairs.truncate(live_pairs);
+    ex.token_ids.truncate(live_ids);
     ex.reviews = ex
         .reviews
         .iter()
-        .map(|r| r.iter().copied().filter(|&si| si < cap).collect::<Vec<_>>())
+        .map(|r| r.start.min(cap)..r.end.min(cap))
         .filter(|r| !r.is_empty())
         .collect();
 }

@@ -7,9 +7,11 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use osa_core::Pair;
-use osa_ontology::Hierarchy;
+use osa_ontology::{Hierarchy, NodeId};
 use osa_text::{
     split_sentences, tokenize, ConceptMatcher, ExtractScratch, InternedExtractor, SentimentLexicon,
     SentimentRegressor,
@@ -61,36 +63,44 @@ pub fn train_regressor(corpus: &Corpus, dim: usize, lambda: f64) -> SentimentReg
     SentimentRegressor::train(&sentences, &labels, dim, lambda)
 }
 
-/// One extracted sentence.
+/// One extracted sentence. Its token IDs and pairs are runs of the
+/// item's flat [`ExtractedItem::token_ids`] and [`ExtractedItem::pairs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExtractedSentence {
     /// Original sentence text.
     pub text: String,
-    /// Lowercase tokens, as indices into [`ExtractedItem::tokens`] — the
-    /// item's token pool — rather than one owned `Vec<String>` per
-    /// sentence. Use [`ExtractedItem::sentence_tokens`] to materialize
-    /// strings when needed.
-    pub tokens: Vec<u32>,
-    /// Indices into [`ExtractedItem::pairs`] of the pairs this sentence
-    /// produced.
-    pub pair_indices: Vec<usize>,
+    /// This sentence's run of [`ExtractedItem::token_ids`]: its lowercase
+    /// tokens as indices into the item's token pool
+    /// [`ExtractedItem::tokens`]. Use [`ExtractedItem::sentence_tokens`]
+    /// to materialize strings when needed.
+    pub tokens: Range<usize>,
+    /// The run of [`ExtractedItem::pairs`] this sentence produced.
+    pub pair_indices: Range<usize>,
     /// The sentence's computed sentiment.
     pub sentiment: f64,
 }
 
 /// All pairs of an item plus the sentence/review grouping the coverage
 /// problems need.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Extraction appends left to right, so every grouping is a contiguous
+/// run: a sentence's pairs and token IDs, and a review's sentences, are
+/// ranges into the flat per-item vectors. Consecutive runs abut, and
+/// together they cover `pairs`, `token_ids` and `sentences`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtractedItem {
     /// Every concept-sentiment pair of the item (the paper's `P`).
     pub pairs: Vec<Pair>,
     /// The item's sentences in order.
     pub sentences: Vec<ExtractedSentence>,
-    /// Sentence indices per review (the k-Reviews grouping).
-    pub reviews: Vec<Vec<usize>>,
+    /// Each review's run of [`sentences`](Self::sentences) (the
+    /// k-Reviews grouping).
+    pub reviews: Vec<Range<usize>>,
     /// The item's distinct token strings, in first-occurrence order over
-    /// the item's token stream; sentence tokens index into this pool.
+    /// the item's token stream; token IDs index into this pool.
     pub tokens: Vec<String>,
+    /// Every sentence's pooled token IDs, in sentence order.
+    pub token_ids: Vec<u32>,
 }
 
 impl ExtractedItem {
@@ -98,7 +108,7 @@ impl ExtractedItem {
     pub fn sentence_groups(&self) -> Vec<Vec<usize>> {
         self.sentences
             .iter()
-            .map(|s| s.pair_indices.clone())
+            .map(|s| s.pair_indices.clone().collect())
             .collect()
     }
 
@@ -106,13 +116,18 @@ impl ExtractedItem {
     pub fn review_groups(&self) -> Vec<Vec<usize>> {
         self.reviews
             .iter()
-            .map(|sents| {
-                sents
-                    .iter()
-                    .flat_map(|&si| self.sentences[si].pair_indices.iter().copied())
-                    .collect()
-            })
+            .map(|r| self.review_pairs(r.clone()).collect())
             .collect()
+    }
+
+    /// The run of [`pairs`](Self::pairs) produced by a run of
+    /// [`sentences`](Self::sentences).
+    fn review_pairs(&self, sentences: Range<usize>) -> Range<usize> {
+        let run = &self.sentences[sentences];
+        match (run.first(), run.last()) {
+            (Some(a), Some(b)) => a.pair_indices.start..b.pair_indices.end,
+            _ => 0..0,
+        }
     }
 
     /// The text behind a pooled token ID.
@@ -122,8 +137,7 @@ impl ExtractedItem {
 
     /// Materialize sentence `si`'s tokens as owned strings.
     pub fn sentence_tokens(&self, si: usize) -> Vec<String> {
-        self.sentences[si]
-            .tokens
+        self.token_ids[self.sentences[si].tokens.clone()]
             .iter()
             .map(|&id| self.tokens[id as usize].clone())
             .collect()
@@ -152,53 +166,42 @@ pub fn extract_item_with(
     matcher: &ConceptMatcher,
     model: &SentimentModel,
 ) -> ExtractedItem {
-    let mut pairs = Vec::new();
-    let mut sentences = Vec::new();
-    let mut reviews = Vec::with_capacity(item.reviews.len());
-    let mut pool: Vec<String> = Vec::new();
+    let mut out = ExtractedItem::default();
+    out.reviews.reserve(item.reviews.len());
     let mut pool_map: HashMap<String, u32> = HashMap::new();
 
     for review in &item.reviews {
-        let mut sentence_ids = Vec::new();
+        let first_sentence = out.sentences.len();
         for text in split_sentences(&review.text) {
             let tokens = tokenize(&text);
             let sentiment = model.score(&tokens);
-            let mentions = matcher.find(&tokens);
-            let mut pair_indices = Vec::with_capacity(mentions.len());
-            for m in mentions {
-                pair_indices.push(pairs.len());
-                pairs.push(Pair::new(m.concept, sentiment));
+            let first_pair = out.pairs.len();
+            for m in matcher.find(&tokens) {
+                out.pairs.push(Pair::new(m.concept, sentiment));
             }
-            let mut token_ids = Vec::with_capacity(tokens.len());
+            let first_token = out.token_ids.len();
             for t in tokens {
                 let id = match pool_map.entry(t) {
                     Entry::Occupied(e) => *e.get(),
                     Entry::Vacant(e) => {
-                        let id = pool.len() as u32;
-                        pool.push(e.key().clone());
+                        let id = out.tokens.len() as u32;
+                        out.tokens.push(e.key().clone());
                         e.insert(id);
                         id
                     }
                 };
-                token_ids.push(id);
+                out.token_ids.push(id);
             }
-            sentence_ids.push(sentences.len());
-            sentences.push(ExtractedSentence {
+            out.sentences.push(ExtractedSentence {
                 text,
-                tokens: token_ids,
-                pair_indices,
+                tokens: first_token..out.token_ids.len(),
+                pair_indices: first_pair..out.pairs.len(),
                 sentiment,
             });
         }
-        reviews.push(sentence_ids);
+        out.reviews.push(first_sentence..out.sentences.len());
     }
-
-    ExtractedItem {
-        pairs,
-        sentences,
-        reviews,
-        tokens: pool,
-    }
+    out
 }
 
 /// Incrementally extend a previous extraction of `item` after reviews
@@ -239,28 +242,20 @@ pub fn extract_truncate(prev: &ExtractedItem, keep_reviews: usize) -> ExtractedI
         keep_reviews <= prev.reviews.len(),
         "cannot keep more than exists"
     );
-    let reviews: Vec<Vec<usize>> = prev.reviews[..keep_reviews].to_vec();
-    let n_sentences = reviews
-        .iter()
-        .rev()
-        .find_map(|s| s.last().map(|&si| si + 1))
-        .unwrap_or(0);
-    let sentences: Vec<ExtractedSentence> = prev.sentences[..n_sentences].to_vec();
-    let n_pairs = sentences
-        .iter()
-        .rev()
-        .find_map(|s| s.pair_indices.last().map(|&pi| pi + 1))
-        .unwrap_or(0);
-    let n_tokens = sentences
-        .iter()
-        .flat_map(|s| s.tokens.iter().copied())
-        .max()
-        .map_or(0, |id| id as usize + 1);
+    let reviews = prev.reviews[..keep_reviews].to_vec();
+    let n_sentences = reviews.last().map_or(0, |r| r.end);
+    let sentences = prev.sentences[..n_sentences].to_vec();
+    let (n_pairs, n_token_ids) = sentences
+        .last()
+        .map_or((0, 0), |s| (s.pair_indices.end, s.tokens.end));
+    let token_ids = prev.token_ids[..n_token_ids].to_vec();
+    let n_tokens = token_ids.iter().max().map_or(0, |&id| id as usize + 1);
     ExtractedItem {
         pairs: prev.pairs[..n_pairs].to_vec(),
         sentences,
         reviews,
         tokens: prev.tokens[..n_tokens].to_vec(),
+        token_ids,
     }
 }
 
@@ -277,26 +272,42 @@ pub enum ExtractImpl {
     Naive,
 }
 
-/// The extraction engine: owns the naive matcher/lexicon oracle and the
-/// precompiled interned engine, built once per hierarchy and shared
-/// read-only across workers.
+/// The extraction engine: the precompiled interned engine, built once
+/// per hierarchy and shared read-only across workers, plus what the
+/// naive oracle needs. The oracle's matcher is built on its first use.
 #[derive(Debug, Clone)]
 pub struct Extractor {
-    matcher: ConceptMatcher,
+    /// Every non-root concept term with its node, in hierarchy order:
+    /// what the naive matcher is built from.
+    terms: Vec<(NodeId, String)>,
+    matcher: OnceLock<ConceptMatcher>,
     lexicon: SentimentLexicon,
     interned: InternedExtractor,
 }
 
 impl Extractor {
-    /// Build both implementations from a hierarchy, with the default
+    /// Build the interned engine from a hierarchy, with the default
     /// sentiment lexicon.
     pub fn from_hierarchy(h: &Hierarchy) -> Self {
         let lexicon = SentimentLexicon::default();
+        let terms = h
+            .nodes()
+            .filter(|&node| node != h.root())
+            .flat_map(|node| h.terms(node).iter().map(move |t| (node, t.clone())))
+            .collect();
         Extractor {
-            matcher: ConceptMatcher::from_hierarchy(h),
+            terms,
+            matcher: OnceLock::new(),
             interned: InternedExtractor::new(h, &lexicon),
             lexicon,
         }
+    }
+
+    /// The naive oracle's matcher, built on first use.
+    fn matcher(&self) -> &ConceptMatcher {
+        self.matcher.get_or_init(|| {
+            ConceptMatcher::from_terms(self.terms.iter().map(|(node, t)| (*node, t.as_str())))
+        })
     }
 
     /// The precompiled interned engine.
@@ -314,7 +325,7 @@ impl Extractor {
     ) -> ExtractedItem {
         match which {
             ExtractImpl::Interned => self.extract_interned(item, None, scratch),
-            ExtractImpl::Naive => extract_item(item, &self.matcher, &self.lexicon),
+            ExtractImpl::Naive => extract_item(item, self.matcher(), &self.lexicon),
         }
     }
 
@@ -332,7 +343,7 @@ impl Extractor {
     ) -> ExtractedItem {
         match which {
             ExtractImpl::Interned => self.extract_interned(item, Some(model), scratch),
-            ExtractImpl::Naive => extract_item_with(item, &self.matcher, model),
+            ExtractImpl::Naive => extract_item_with(item, self.matcher(), model),
         }
     }
 
@@ -343,12 +354,8 @@ impl Extractor {
         scratch: &mut ExtractScratch,
     ) -> ExtractedItem {
         scratch.begin_item();
-        let mut out = ExtractedItem {
-            pairs: Vec::new(),
-            sentences: Vec::new(),
-            reviews: Vec::with_capacity(item.reviews.len()),
-            tokens: Vec::new(),
-        };
+        let mut out = ExtractedItem::default();
+        out.reviews.reserve(item.reviews.len());
         self.extend_interned(&item.reviews, model, &mut out, scratch);
         out
     }
@@ -365,9 +372,10 @@ impl Extractor {
     ) {
         let ie = &self.interned;
         for review in reviews {
-            let mut sentence_ids = Vec::new();
-            for text in split_sentences(&review.text) {
-                ie.tokenize_sentence(&text, scratch);
+            let first_sentence = out.sentences.len();
+            for k in 0..scratch.split_sentences(&review.text) {
+                let text = &review.text[scratch.sentence_span(k)];
+                ie.tokenize_sentence(text, scratch);
                 let sentiment = match model {
                     None | Some(SentimentModel::Lexicon(_)) => ie.score(scratch),
                     Some(SentimentModel::Regressor(r)) => {
@@ -376,21 +384,20 @@ impl Extractor {
                     }
                 };
                 ie.find(scratch);
-                let mut pair_indices = Vec::with_capacity(scratch.mentions().len());
+                let first_pair = out.pairs.len();
                 for m in scratch.mentions() {
-                    pair_indices.push(out.pairs.len());
                     out.pairs.push(Pair::new(m.concept, sentiment));
                 }
-                let token_ids = ie.item_token_ids(scratch, &mut out.tokens);
-                sentence_ids.push(out.sentences.len());
+                let first_token = out.token_ids.len();
+                ie.item_token_ids(scratch, &mut out.tokens, &mut out.token_ids);
                 out.sentences.push(ExtractedSentence {
-                    text,
-                    tokens: token_ids,
-                    pair_indices,
+                    text: text.to_owned(),
+                    tokens: first_token..out.token_ids.len(),
+                    pair_indices: first_pair..out.pairs.len(),
                     sentiment,
                 });
             }
-            out.reviews.push(sentence_ids);
+            out.reviews.push(first_sentence..out.sentences.len());
         }
         scratch.finish_item();
     }
@@ -623,8 +630,8 @@ mod tests {
         let lexicon = SentimentLexicon::default();
         let ex = extract_item(&c.items[0], &matcher, &lexicon);
         for s in &ex.sentences {
-            for &pi in &s.pair_indices {
-                assert_eq!(ex.pairs[pi].sentiment, s.sentiment);
+            for p in &ex.pairs[s.pair_indices.clone()] {
+                assert_eq!(p.sentiment, s.sentiment);
             }
         }
     }

@@ -887,8 +887,8 @@ pub fn finish_item_summary(
             }
             Granularity::Sentences => ex.sentences[sel].text.clone(),
             Granularity::Reviews => {
-                let first = ex.reviews[sel].first().copied();
-                let text = first.map_or("(empty review)", |si| ex.sentences[si].text.as_str());
+                let first = ex.sentences[ex.reviews[sel].clone()].first();
+                let text = first.map_or("(empty review)", |s| s.text.as_str());
                 format!("review #{sel}: {text} …")
             }
         })

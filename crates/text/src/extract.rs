@@ -25,6 +25,7 @@
 //! [`shared stem`]: InternedExtractor::new
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use osa_ontology::{Hierarchy, NodeId};
 
@@ -33,7 +34,7 @@ use crate::intern::TokenInterner;
 use crate::lexicon::{SentimentLexicon, NEGATION_DAMP, SHIFTER_WINDOW};
 use crate::matcher::ConceptMention;
 use crate::stem::stem;
-use crate::tokenize::tokenize_into;
+use crate::tokenize::{sentence_spans_into, tokenize_into};
 
 /// Sentinel for "stem not yet resolved" in per-item local tables.
 const UNRESOLVED: u32 = u32::MAX;
@@ -50,14 +51,18 @@ const STEM_MEMO_ENTRY_OVERHEAD: usize = 96;
 
 /// Per-worker reusable state for the interned extraction path.
 ///
-/// Holds the tokenization buffers, the per-item local interner tail for
-/// out-of-vocabulary words, automaton scan scratch and the per-item
-/// vocabulary remap. Designed to live in a worker's scratch slot: buffers
-/// are recycled across items via [`begin_item`](Self::begin_item) (epoch
-/// stamping, no O(vocabulary) clearing), and the worker-lifetime stem
-/// memo keeps amortizing across items.
+/// Holds the sentence and tokenization buffers, the per-item local
+/// interner tail for out-of-vocabulary words, automaton scan scratch and
+/// the per-item vocabulary remap. Designed to live in a worker's scratch
+/// slot: buffers are recycled across items via
+/// [`begin_item`](Self::begin_item) (epoch stamping, no O(vocabulary)
+/// clearing), and the worker-lifetime stem memo keeps amortizing across
+/// items.
 #[derive(Debug, Default)]
 pub struct ExtractScratch {
+    /// Byte ranges of the sentences of the last text passed to
+    /// [`split_sentences`](Self::split_sentences).
+    sentence_spans: Vec<Range<usize>>,
     // Tokenization: lowercased sentence text + token byte spans.
     text_buf: String,
     spans: Vec<(u32, u32)>,
@@ -65,14 +70,9 @@ pub struct ExtractScratch {
     token_ids: Vec<u32>,
     /// Interned IDs of each token's stem, parallel to `token_ids`.
     stem_ids: Vec<u32>,
-    // Per-item local interner for out-of-vocabulary words; local index
-    // `l` is global ID `shared_len + l`. Its keys are review text, so it
-    // keeps std's randomly keyed hasher.
-    local_map: HashMap<String, u32>,
-    local_strings: Vec<String>,
-    /// Global stem ID per local entry (`UNRESOLVED` until the word occurs
-    /// as a token).
-    local_stem: Vec<u32>,
+    /// Per-item local interner for out-of-vocabulary words; local index
+    /// `l` is global ID `shared_len + l`.
+    local: LocalWords,
     /// Worker-lifetime word → stem memo (pure-function cache; survives
     /// across items, which is safe precisely because it is pure). Its
     /// keys are review text, so it keeps std's randomly keyed hasher,
@@ -100,9 +100,7 @@ impl ExtractScratch {
     /// interner and zeroes the stem-cache counters.
     pub fn begin_item(&mut self) {
         self.epoch += 1;
-        self.local_map.clear();
-        self.local_strings.clear();
-        self.local_stem.clear();
+        self.local.clear();
         self.item_of_local.clear();
         self.stem_hits = 0;
         self.stem_misses = 0;
@@ -117,6 +115,22 @@ impl ExtractScratch {
         obs.add("extract.stem_cache.misses", self.stem_misses);
         self.stem_hits = 0;
         self.stem_misses = 0;
+    }
+
+    /// Split `text` into sentences exactly as
+    /// [`split_sentences`](crate::split_sentences) does, but keep them
+    /// as byte ranges of `text` in a reused buffer; returns how many
+    /// there are. Read them back with
+    /// [`sentence_span`](Self::sentence_span).
+    pub fn split_sentences(&mut self, text: &str) -> usize {
+        sentence_spans_into(text, &mut self.sentence_spans);
+        self.sentence_spans.len()
+    }
+
+    /// The byte range of sentence `k` of the last
+    /// [`split_sentences`](Self::split_sentences) call.
+    pub fn sentence_span(&self, k: usize) -> Range<usize> {
+        self.sentence_spans[k].clone()
     }
 
     /// Number of tokens in the current sentence.
@@ -291,9 +305,7 @@ impl InternedExtractor {
             spans,
             token_ids,
             stem_ids,
-            local_map,
-            local_strings,
-            local_stem,
+            local,
             stem_memo,
             stem_memo_bytes,
             stem_hits,
@@ -311,17 +323,11 @@ impl InternedExtractor {
                 stem_ids.push(self.shared_stem[id as usize]);
                 continue;
             }
-            let lidx = match local_map.get(word) {
+            let lidx = match local.map.get(word) {
                 Some(&l) => l,
-                None => {
-                    let l = local_strings.len() as u32;
-                    local_map.insert(word.to_owned(), l);
-                    local_strings.push(word.to_owned());
-                    local_stem.push(UNRESOLVED);
-                    l
-                }
+                None => local.insert(word),
             };
-            if local_stem[lidx as usize] == UNRESOLVED {
+            if local.stem[lidx as usize] == UNRESOLVED {
                 *stem_misses += 1;
                 if !stem_memo.contains_key(word) {
                     let s = stem(word);
@@ -333,19 +339,13 @@ impl InternedExtractor {
                     *stem_memo_bytes += cost;
                     stem_memo.insert(word.to_owned(), s);
                 }
-                local_stem[lidx as usize] = resolve_or_intern_local(
-                    &self.vocab,
-                    self.shared_len,
-                    local_map,
-                    local_strings,
-                    local_stem,
-                    &stem_memo[word],
-                );
+                local.stem[lidx as usize] =
+                    resolve_or_intern_local(&self.vocab, self.shared_len, local, &stem_memo[word]);
             } else {
                 *stem_hits += 1;
             }
             token_ids.push(self.shared_len + lidx);
-            stem_ids.push(local_stem[lidx as usize]);
+            stem_ids.push(local.stem[lidx as usize]);
         }
     }
 
@@ -354,7 +354,7 @@ impl InternedExtractor {
         if id < self.shared_len {
             self.vocab.resolve(id)
         } else {
-            &scratch.local_strings[(id - self.shared_len) as usize]
+            scratch.local.word((id - self.shared_len) as usize)
         }
     }
 
@@ -458,14 +458,18 @@ impl InternedExtractor {
         }
     }
 
-    /// Remap the current sentence's global token IDs to per-item IDs,
-    /// appending first occurrences to the item's token `pool`. The
-    /// per-item numbering is first-occurrence order over the item's token
-    /// stream — a function of the text alone, so the naive oracle
-    /// produces the identical pool and IDs.
-    pub fn item_token_ids(&self, scratch: &mut ExtractScratch, pool: &mut Vec<String>) -> Vec<u32> {
+    /// Remap the current sentence's global token IDs to per-item IDs and
+    /// append them to `ids`, appending first occurrences to the item's
+    /// token `pool`. The per-item numbering is first-occurrence order
+    /// over the item's token stream — a function of the text alone, so
+    /// the naive oracle produces the identical pool and IDs.
+    pub fn item_token_ids(
+        &self,
+        scratch: &mut ExtractScratch,
+        pool: &mut Vec<String>,
+        ids: &mut Vec<u32>,
+    ) {
         self.grow_remap(scratch);
-        let mut out = Vec::with_capacity(scratch.token_ids.len());
         for k in 0..scratch.token_ids.len() {
             let gid = scratch.token_ids[k];
             let iid = if gid < self.shared_len {
@@ -483,16 +487,15 @@ impl InternedExtractor {
                 let l = (gid - self.shared_len) as usize;
                 if scratch.item_of_local[l] == UNRESOLVED {
                     let id = pool.len() as u32;
-                    pool.push(scratch.local_strings[l].clone());
+                    pool.push(scratch.local.word(l).to_owned());
                     scratch.item_of_local[l] = id;
                     id
                 } else {
                     scratch.item_of_local[l]
                 }
             };
-            out.push(iid);
+            ids.push(iid);
         }
-        out
     }
 
     /// Start an item that continues an extraction whose token pool is
@@ -506,14 +509,8 @@ impl InternedExtractor {
     pub fn resume_item(&self, scratch: &mut ExtractScratch, pool: &[String]) {
         scratch.begin_item();
         for (id, word) in pool.iter().enumerate() {
-            let gid = resolve_or_intern_local(
-                &self.vocab,
-                self.shared_len,
-                &mut scratch.local_map,
-                &mut scratch.local_strings,
-                &mut scratch.local_stem,
-                word,
-            );
+            let gid =
+                resolve_or_intern_local(&self.vocab, self.shared_len, &mut scratch.local, word);
             self.grow_remap(scratch);
             let id = id as u32;
             if gid < self.shared_len {
@@ -536,7 +533,7 @@ impl InternedExtractor {
         }
         scratch
             .item_of_local
-            .resize(scratch.local_strings.len(), UNRESOLVED);
+            .resize(scratch.local.stem.len(), UNRESOLVED);
     }
 }
 
@@ -547,23 +544,55 @@ impl InternedExtractor {
 fn resolve_or_intern_local(
     vocab: &TokenInterner,
     shared_len: u32,
-    local_map: &mut HashMap<String, u32>,
-    local_strings: &mut Vec<String>,
-    local_stem: &mut Vec<u32>,
+    local: &mut LocalWords,
     s: &str,
 ) -> u32 {
     if let Some(id) = vocab.get(s) {
         return id;
     }
-    match local_map.get(s) {
-        Some(&l) => shared_len + l,
-        None => {
-            let l = local_strings.len() as u32;
-            local_map.insert(s.to_owned(), l);
-            local_strings.push(s.to_owned());
-            local_stem.push(UNRESOLVED);
-            shared_len + l
+    shared_len
+        + match local.map.get(s) {
+            Some(&l) => l,
+            None => local.insert(s),
         }
+}
+
+/// The per-item local interner: out-of-vocabulary words with dense local
+/// indices, their text kept in one arena that outlives items. Its keys
+/// are review text, so the map keeps std's randomly keyed hasher.
+#[derive(Debug, Default)]
+struct LocalWords {
+    map: HashMap<String, u32>,
+    /// Every word's text, back to back; word `l` ends at `ends[l]`.
+    text: String,
+    ends: Vec<usize>,
+    /// Global stem ID per word (`UNRESOLVED` until the word occurs as a
+    /// token).
+    stem: Vec<u32>,
+}
+
+impl LocalWords {
+    fn clear(&mut self) {
+        self.map.clear();
+        self.text.clear();
+        self.ends.clear();
+        self.stem.clear();
+    }
+
+    /// The text of word `l`.
+    fn word(&self, l: usize) -> &str {
+        let start = if l == 0 { 0 } else { self.ends[l - 1] };
+        &self.text[start..self.ends[l]]
+    }
+
+    /// Add `word`, which the map lacks, with its stem unresolved.
+    fn insert(&mut self, word: &str) -> u32 {
+        let l = self.ends.len() as u32;
+        self.map.insert(word.to_owned(), l);
+        self.text.push_str(word);
+        self.ends.push(self.text.len());
+        self.stem.push(UNRESOLVED);
+        l
     }
 }
 
@@ -661,17 +690,22 @@ mod tests {
         let h = phone();
         let ie = InternedExtractor::new(&h, &SentimentLexicon::default());
         let mut scratch = ExtractScratch::default();
-        let mut pool = Vec::new();
+        let (mut pool, mut ids) = (Vec::new(), Vec::new());
         scratch.begin_item();
         ie.tokenize_sentence("great screen great zorp", &mut scratch);
-        let ids = ie.item_token_ids(&mut scratch, &mut pool);
+        ie.item_token_ids(&mut scratch, &mut pool, &mut ids);
         assert_eq!(pool, vec!["great", "screen", "zorp"]);
         assert_eq!(ids, vec![0, 1, 0, 2]);
+        // Later sentences append to the item's flat ID vector.
+        ie.tokenize_sentence("zorp blip", &mut scratch);
+        ie.item_token_ids(&mut scratch, &mut pool, &mut ids);
+        assert_eq!(pool, vec!["great", "screen", "zorp", "blip"]);
+        assert_eq!(ids, vec![0, 1, 0, 2, 2, 3]);
         // A fresh item restarts the numbering even with a reused scratch.
-        let mut pool2 = Vec::new();
+        let (mut pool2, mut ids2) = (Vec::new(), Vec::new());
         scratch.begin_item();
         ie.tokenize_sentence("zorp screen", &mut scratch);
-        let ids2 = ie.item_token_ids(&mut scratch, &mut pool2);
+        ie.item_token_ids(&mut scratch, &mut pool2, &mut ids2);
         assert_eq!(pool2, vec!["zorp", "screen"]);
         assert_eq!(ids2, vec![0, 1]);
     }

@@ -33,21 +33,26 @@ pub struct ConceptMatcher {
 impl ConceptMatcher {
     /// Build a matcher from every non-root node's term list.
     pub fn from_hierarchy(h: &Hierarchy) -> Self {
+        Self::from_terms(
+            h.nodes()
+                .filter(|&node| node != h.root())
+                .flat_map(|node| h.terms(node).iter().map(move |t| (node, t.as_str()))),
+        )
+    }
+
+    /// Build a matcher from `(concept, surface term)` pairs; a later
+    /// pair with the same term phrase overrides an earlier one.
+    pub fn from_terms<'a>(terms: impl IntoIterator<Item = (NodeId, &'a str)>) -> Self {
         let mut exact = Trie::new();
         let mut stemmed = Trie::new();
-        for node in h.nodes() {
-            if node == h.root() {
+        for (node, term) in terms {
+            let toks = crate::tokenize(term);
+            if toks.is_empty() {
                 continue;
             }
-            for term in h.terms(node) {
-                let toks = crate::tokenize(term);
-                if toks.is_empty() {
-                    continue;
-                }
-                let stems: Vec<String> = toks.iter().map(|t| stem(t)).collect();
-                exact.insert(&toks, node);
-                stemmed.insert(&stems, node);
-            }
+            let stems: Vec<String> = toks.iter().map(|t| stem(t)).collect();
+            exact.insert(&toks, node);
+            stemmed.insert(&stems, node);
         }
         ConceptMatcher { exact, stemmed }
     }

@@ -7,6 +7,8 @@
 //! The char-by-char implementations they replace are kept as the test
 //! oracle in `tests/tokenize_oracle.rs`, which requires identical output.
 
+use std::ops::Range;
+
 /// Split text into lowercase word tokens. A token is a maximal run of
 /// alphanumeric characters, apostrophes-in-words ("don't") or hyphens-in-
 /// words ("x-ray"); everything else is a separator. Numbers are kept.
@@ -33,17 +35,9 @@ pub(crate) fn tokenize_into(text: &str, buf: &mut String, spans: &mut Vec<(u32, 
     while i < bytes.len() {
         let b = bytes[i];
         if b.is_ascii_alphanumeric() {
-            // Copy the whole ASCII alphanumeric run, then lowercase it in
-            // place.
-            let run = bytes[i..]
-                .iter()
-                .position(|c| !c.is_ascii_alphanumeric())
-                .map_or(bytes.len(), |n| i + n);
-            let from = buf.len();
-            tok_start.get_or_insert(from as u32);
-            buf.push_str(&text[i..run]);
-            buf[from..].make_ascii_lowercase();
-            i = run;
+            tok_start.get_or_insert(buf.len() as u32);
+            buf.push(b.to_ascii_lowercase() as char);
+            i += 1;
         } else if b.is_ascii() {
             let joiner = (b == b'\'' || b == b'-')
                 && tok_start.is_some()
@@ -87,9 +81,19 @@ const ABBREVIATIONS: &[&str] = &[
 
 /// Split text into sentences on `.`, `!`, `?` and newlines, with a small
 /// abbreviation guard (so "Dr. Smith" stays in one sentence). Returns
-/// trimmed, non-empty sentence strings.
+/// trimmed, non-empty sentence strings. A thin wrapper over
+/// [`sentence_spans_into`].
 pub fn split_sentences(text: &str) -> Vec<String> {
-    let mut sentences = Vec::new();
+    let mut spans = Vec::new();
+    sentence_spans_into(text, &mut spans);
+    spans.into_iter().map(|r| text[r].to_owned()).collect()
+}
+
+/// Allocation-reusing sentence splitter core: `spans` is cleared, then
+/// receives the byte range of each sentence of `text` that
+/// [`split_sentences`] returns, in order.
+pub(crate) fn sentence_spans_into(text: &str, spans: &mut Vec<Range<usize>>) {
+    spans.clear();
     let bytes = text.as_bytes();
     // The current sentence is `text[start..i]`: every char since the last
     // cut except a newline, which always cuts.
@@ -101,11 +105,10 @@ pub fn split_sentences(text: &str) -> Vec<String> {
             b'.' if !period_continues(&text[start..i], bytes.get(i + 1)) => i + 1,
             _ => continue,
         };
-        push_sentence(&text[start..end], &mut sentences);
+        push_sentence(text, start..end, spans);
         start = i + 1;
     }
-    push_sentence(&text[start..], &mut sentences);
-    sentences
+    push_sentence(text, start..text.len(), spans);
 }
 
 /// Whether a period after `cur` (the current sentence so far) continues
@@ -137,11 +140,13 @@ fn period_continues(cur: &str, next: Option<&u8>) -> bool {
     is_abbrev || decimal
 }
 
-/// Keep a trimmed sentence that contains at least one letter.
-fn push_sentence(s: &str, out: &mut Vec<String>) {
+/// Keep the trimmed span of `text[span]` if it contains a letter.
+fn push_sentence(text: &str, span: Range<usize>, out: &mut Vec<Range<usize>>) {
+    let s = &text[span.clone()];
+    let start = span.start + (s.len() - s.trim_start().len());
     let s = s.trim();
     if s.chars().any(char::is_alphabetic) {
-        out.push(s.to_owned());
+        out.push(start..start + s.len());
     }
 }
 

@@ -37,7 +37,7 @@ fn main() {
         .enumerate()
         .map(|(si, s)| SentenceRecord {
             tokens: ex.sentence_tokens(si),
-            pairs: s.pair_indices.iter().map(|&pi| ex.pairs[pi]).collect(),
+            pairs: ex.pairs[s.pair_indices.clone()].to_vec(),
         })
         .collect();
     let graph = CoverageGraph::for_groups(
@@ -51,8 +51,8 @@ fn main() {
     let pairs_of = |selected: &[usize]| -> Vec<Pair> {
         selected
             .iter()
-            .flat_map(|&si| ex.sentences[si].pair_indices.iter())
-            .map(|&pi| ex.pairs[pi])
+            .flat_map(|&si| &ex.pairs[ex.sentences[si].pair_indices.clone()])
+            .copied()
             .collect()
     };
 

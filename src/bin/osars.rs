@@ -773,7 +773,7 @@ fn cmd_summarize_item(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `--focus CONCEPT`: restrict an extraction to the concept's
 /// sub-hierarchy. Pairs on concepts outside the subtree are dropped and
 /// the rest are remapped into the subgraph by name; sentences keep the
-/// indices of their surviving pairs.
+/// runs of their surviving pairs.
 fn focus(
     hierarchy: &Hierarchy,
     mut ex: ExtractedItem,
@@ -783,19 +783,19 @@ fn focus(
         .node_by_name(name)
         .ok_or_else(|| format!("unknown concept '{name}'"))?;
     let sub = hierarchy.subgraph(node);
-    let mut remap: Vec<Option<usize>> = Vec::with_capacity(ex.pairs.len());
+    // `kept_before[i]`: how many of the first `i` pairs survive, so a
+    // sentence's run of pairs maps to its run of surviving pairs.
+    let mut kept_before = Vec::with_capacity(ex.pairs.len() + 1);
     let mut kept: Vec<Pair> = Vec::new();
     for p in &ex.pairs {
-        match sub.node_by_name(hierarchy.name(p.concept)) {
-            Some(c) => {
-                remap.push(Some(kept.len()));
-                kept.push(Pair::new(c, p.sentiment));
-            }
-            None => remap.push(None),
+        kept_before.push(kept.len());
+        if let Some(c) = sub.node_by_name(hierarchy.name(p.concept)) {
+            kept.push(Pair::new(c, p.sentiment));
         }
     }
+    kept_before.push(kept.len());
     for s in &mut ex.sentences {
-        s.pair_indices = s.pair_indices.iter().filter_map(|&pi| remap[pi]).collect();
+        s.pair_indices = kept_before[s.pair_indices.start]..kept_before[s.pair_indices.end];
     }
     ex.pairs = kept;
     Ok((sub, ex))
@@ -857,13 +857,13 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
                 .enumerate()
                 .map(|(si, s)| SentenceRecord {
                     tokens: ex.sentence_tokens(si),
-                    pairs: s.pair_indices.iter().map(|&pi| ex.pairs[pi]).collect(),
+                    pairs: ex.pairs[s.pair_indices.clone()].to_vec(),
                 })
                 .collect();
             let pairs_of = |sel: &[usize]| -> Vec<Pair> {
                 sel.iter()
-                    .flat_map(|&si| ex.sentences[si].pair_indices.iter())
-                    .map(|&pi| ex.pairs[pi])
+                    .flat_map(|&si| &ex.pairs[ex.sentences[si].pair_indices.clone()])
+                    .copied()
                     .collect()
             };
             let score = |sel: &[usize]| -> (f64, f64) {

@@ -21,8 +21,8 @@ fn small_cfg() -> CorpusConfig {
 fn pairs_of(ex: &osars::datasets::ExtractedItem, selected: &[usize]) -> Vec<Pair> {
     selected
         .iter()
-        .flat_map(|&si| ex.sentences[si].pair_indices.iter())
-        .map(|&pi| ex.pairs[pi])
+        .flat_map(|&si| &ex.pairs[ex.sentences[si].pair_indices.clone()])
+        .copied()
         .collect()
 }
 
@@ -85,7 +85,7 @@ fn greedy_beats_sentiment_agnostic_baseline_on_penalized_error() {
             .enumerate()
             .map(|(si, s)| SentenceRecord {
                 tokens: ex.sentence_tokens(si),
-                pairs: s.pair_indices.iter().map(|&pi| ex.pairs[pi]).collect(),
+                pairs: ex.pairs[s.pair_indices.clone()].to_vec(),
             })
             .collect();
         let base = TextRank.select(&records, k);
