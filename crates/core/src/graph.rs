@@ -9,13 +9,16 @@
 //!   ancestor row ([`osa_ontology::AncestorIndex::ancestors`] or the
 //!   memoized [`osa_ontology::SegmentIndex::ancestors`]), finds each
 //!   ancestor's bucket through an `O(1)` slot table, and resolves the
-//!   ε-window `[s − ε, s + ε]` with two binary searches, deduplicating
-//!   candidates through a dense epoch-stamped scratch
-//!   ([`GraphBuildScratch`]).
-//!   Pass 2 is embarrassingly parallel over pair ranges: see
+//!   ε-window `[s − ε, s + ε]` with two binary searches. Each offered
+//!   candidate sets one bit of a bitmap and keeps its minimum distance;
+//!   the row is emitted by walking the set words in ascending order, so
+//!   it comes out sorted by candidate without a sort ([`GraphBuildScratch`]).
+//!   A row depends on nothing but its target's `(concept, sentiment)`, so
+//!   each distinct target is resolved once per shard and its repeats copy
+//!   that row.
+//!   Pass 2 runs over contiguous pair ranges: see
 //!   [`GraphBuildPlan::shard`] and [`CoverageGraph::assemble`], which
-//!   `osa-runtime` drives from a worker pool with an in-order merge so
-//!   the result is byte-identical for any worker count.
+//!   reproduce the sequential result for any split into shards.
 //! * **Naive** ([`GraphImpl::Naive`]) — the original per-pair upward BFS
 //!   plus full-bucket scan, kept as the cross-checking oracle
 //!   (`osars check`, property tests, benchmarks).
@@ -88,47 +91,43 @@ pub struct CoverageGraph {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphImpl {
     /// Ancestor-closure walk + sentiment-sorted buckets with binary-search
-    /// ε-windows + dense epoch-stamped dedup scratch.
+    /// ε-windows + a candidate bitmap per row, one resolution per distinct
+    /// target.
     Indexed,
     /// Per-pair upward BFS + full-bucket scan + per-pair `HashMap`
     /// (the pre-index builder; slower, trivially auditable).
     Naive,
 }
 
-/// Reusable dense scratch of the indexed builder: per-candidate best
-/// distance for the pair currently being resolved, deduplicated by an
-/// epoch stamp instead of clearing (or hashing) between pairs, plus the
-/// node → bucket slot table of the plan being sharded. One scratch
-/// amortizes across any number of builds of any size; workers in
-/// `osa-runtime` keep one per thread.
+/// Reusable scratch of the indexed builder. One scratch amortizes across
+/// any number of builds of any size; workers in `osa-runtime` keep one
+/// per thread. It holds the row under construction ([`RowBits`]), the
+/// node → bucket slot table of the plan being sharded, and the grouping
+/// of the current [`GraphBuildPlan::shard`] or
+/// [`GraphBuildPlan::shard_append`] call's targets.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuildScratch {
-    /// Best distance of candidate `u` — valid only when
-    /// `stamp[u] == epoch`.
-    dist: Vec<u32>,
-    stamp: Vec<u32>,
-    /// Candidates stamped in the current epoch.
-    touched: Vec<u32>,
-    epoch: u32,
+    row: RowBits,
     /// Node → bucket of the bound plan, one `u32` per hierarchy node. An
     /// entry is valid only when the plan's concept list agrees
     /// (`concepts[slot[n]] == n`), so stale entries from earlier plans
     /// never need clearing.
     slot: Vec<u32>,
+    /// The current call's targets as `concept << 96 | sentiment bits << 32
+    /// | index`, sorted: equal `(concept, sentiment bits)` targets are
+    /// adjacent, in index order. A row reads nothing of its target but the
+    /// concept and the sentiment, so equal targets have equal rows; the
+    /// exact bits keep `-0.0` and `0.0` apart.
+    keys: Vec<u128>,
+    /// Per target of the current call: the index of the first target
+    /// equal to it. A target that is not its own first copies that row.
+    first: Vec<u32>,
 }
 
 impl GraphBuildScratch {
     /// Fresh scratch with empty buffers.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn reserve(&mut self, n_cands: usize) {
-        if self.dist.len() < n_cands {
-            self.dist.resize(n_cands, 0);
-            self.stamp.resize(n_cands, 0);
-        }
-        self.touched.clear();
     }
 
     /// Point the slot table at `plan`'s buckets: `O(buckets)`, after a
@@ -142,31 +141,83 @@ impl GraphBuildScratch {
         }
     }
 
-    /// Start resolving a new target pair; invalidates all stamps.
-    fn next_epoch(&mut self) -> u32 {
-        self.touched.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // u32 wrap: ancient stamps could alias the restarted counter,
-            // so wipe them and skip epoch 0 (the initial stamp value).
-            self.stamp.fill(0);
-            self.epoch = 1;
+    /// Sort `targets` into [`keys`](Self::keys) and point each at the
+    /// first target equal to it in [`first`](Self::first).
+    fn group(&mut self, targets: &[Pair]) {
+        self.keys.clear();
+        self.keys.extend(targets.iter().enumerate().map(|(i, q)| {
+            let i = u32::try_from(i).expect("target indices fit u32");
+            (q.concept.index() as u128) << 96
+                | u128::from(q.sentiment.to_bits()) << 32
+                | u128::from(i)
+        }));
+        self.keys.sort_unstable();
+        self.first.clear();
+        self.first.resize(targets.len(), 0);
+        for equal in self.keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+            for &k in equal {
+                self.first[k as u32 as usize] = equal[0] as u32;
+            }
         }
-        self.epoch
+    }
+}
+
+/// The row of the target pair being resolved: each offered candidate's
+/// best distance, and one bit per candidate saying it was offered. Every
+/// word of `seen` is zero between pairs — [`emit`](Self::emit) zeroes
+/// each word it reads, and `lo..hi` bounds the words a pair set.
+#[derive(Debug, Clone, Default)]
+struct RowBits {
+    /// Best distance of candidate `u` — valid only while bit `u` of
+    /// `seen` is set.
+    dist: Vec<u32>,
+    seen: Vec<u64>,
+    /// The words of `seen` the current pair set bits in lie in `lo..hi`
+    /// (empty, `usize::MAX..0`, between pairs).
+    lo: usize,
+    hi: usize,
+}
+
+impl RowBits {
+    fn reserve(&mut self, n_cands: usize) {
+        if self.dist.len() < n_cands {
+            self.dist.resize(n_cands, 0);
+            self.seen.resize(n_cands.div_ceil(64), 0);
+        }
+        self.lo = usize::MAX;
+        self.hi = 0;
     }
 
     /// Record that some member of candidate `u` covers the current pair
     /// at `dist`, keeping the minimum over the candidate's members.
     #[inline]
-    fn offer(&mut self, u: u32, dist: u32, epoch: u32) {
-        let i = u as usize;
-        if self.stamp[i] != epoch {
-            self.stamp[i] = epoch;
+    fn offer(&mut self, u: u32, dist: u32) {
+        let (i, w) = (u as usize, u as usize / 64);
+        let bit = 1u64 << (u % 64);
+        if self.seen[w] & bit == 0 {
+            self.seen[w] |= bit;
             self.dist[i] = dist;
-            self.touched.push(u);
+            self.lo = self.lo.min(w);
+            self.hi = self.hi.max(w + 1);
         } else if dist < self.dist[i] {
             self.dist[i] = dist;
         }
+    }
+
+    /// Append the current pair's `(candidate, dist)` row to `edges` in
+    /// ascending candidate order, and zero the bitmap for the next pair.
+    #[inline]
+    fn emit(&mut self, edges: &mut Vec<(u32, u32)>) {
+        for w in self.lo..self.hi {
+            let mut word = std::mem::take(&mut self.seen[w]);
+            while word != 0 {
+                let u = w * 64 + word.trailing_zeros() as usize;
+                edges.push((u as u32, self.dist[u]));
+                word &= word - 1;
+            }
+        }
+        self.lo = usize::MAX;
+        self.hi = 0;
     }
 }
 
@@ -354,10 +405,10 @@ impl GraphBuildPlan {
         self.concepts.len()
     }
 
-    /// The bucket of concept `n` under a scratch bound to this plan.
+    /// The bucket of concept `n` under a slot table bound to this plan.
     #[inline]
-    fn bucket_of(&self, scratch: &GraphBuildScratch, n: NodeId) -> Option<usize> {
-        let b = scratch.slot[n.index()] as usize;
+    fn bucket_of(&self, slot: &[u32], n: NodeId) -> Option<usize> {
+        let b = slot[n.index()] as usize;
         (self.concepts.get(b) == Some(&n)).then_some(b)
     }
 
@@ -385,6 +436,8 @@ impl GraphBuildPlan {
     /// Pass 2 over the contiguous target range `range`: resolve each
     /// pair's covering candidates (minimum distance over members) by
     /// walking the concept's ancestor closure and windowing each bucket.
+    /// Each distinct `(concept, sentiment)` target is resolved once per
+    /// call; a repeat copies the row its first occurrence got.
     /// Pure with respect to `self`; shards of disjoint ranges can run on
     /// any threads in any order and [`CoverageGraph::assemble`] back into
     /// the exact sequential result.
@@ -397,49 +450,28 @@ impl GraphBuildPlan {
         range: Range<usize>,
         scratch: &mut GraphBuildScratch,
     ) -> GraphShard {
-        let src = self.ancestor_source(h);
-        scratch.reserve(self.n_cands);
-        scratch.bind(self, h.node_count());
-        let mut pair_off = Vec::with_capacity(range.len() + 1);
-        pair_off.push(0u32);
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut window_hits = 0u64;
-        let start = range.start;
-        for qi in range {
-            self.resolve_pair(src, pairs[qi], scratch, &mut edges, &mut window_hits);
-            pair_off.push(u32::try_from(edges.len()).expect("shard edge count exceeds u32"));
+        let targets = &pairs[range.clone()];
+        let mut w = ShardWriter::new(self, h, scratch, range.start, targets);
+        for &q in targets {
+            w.resolve(q);
         }
-        GraphShard {
-            start,
-            pair_off,
-            edges,
-            window_hits,
-        }
+        w.shard
     }
 
-    /// Resolve one target pair's covering candidates into `edges` —
-    /// the shared body of [`shard`](Self::shard) and
-    /// [`shard_append`](Self::shard_append). `scratch` must be bound to
-    /// this plan.
+    /// Resolve one target pair's covering candidates into `edges`, in
+    /// ascending candidate order — the body of [`ShardWriter::resolve`].
+    /// `slot` must be bound to this plan and `row` empty.
     fn resolve_pair(
         &self,
         src: AncestorSource<'_>,
         q: Pair,
-        scratch: &mut GraphBuildScratch,
+        slot: &[u32],
+        row: &mut RowBits,
         edges: &mut Vec<(u32, u32)>,
         window_hits: &mut u64,
     ) {
-        // Real assert, not debug: `Pair.sentiment` is a pub field, so
-        // a literal-constructed NaN can bypass `Pair::new`'s
-        // sanitization, and a NaN here would silently corrupt the
-        // sorted-bucket windows in release builds.
-        assert!(
-            !q.sentiment.is_nan(),
-            "NaN sentiments must be sanitized by Pair::new before building"
-        );
-        let epoch = scratch.next_epoch();
         for &(anc, dist) in src.ancestors(q.concept) {
-            let Some(b) = self.bucket_of(scratch, anc) else {
+            let Some(b) = self.bucket_of(slot, anc) else {
                 continue;
             };
             // A candidate on the root covers every pair with no
@@ -452,18 +484,12 @@ impl GraphBuildPlan {
             };
             *window_hits += range.len() as u64;
             for &(_, u) in &self.bucket_entries[range] {
-                scratch.offer(u, dist, epoch);
+                row.offer(u, dist);
             }
         }
         // Ascending candidate order makes the shard (and therefore
         // the assembled graph) independent of closure walk order.
-        scratch.touched.sort_unstable();
-        edges.extend(
-            scratch
-                .touched
-                .iter()
-                .map(|&u| (u, scratch.dist[u as usize])),
-        );
+        row.emit(edges);
     }
 
     /// Build the successor plan after an **append**: `self` was built
@@ -571,7 +597,10 @@ impl GraphBuildPlan {
     /// row of every old pair whose ancestor closure touches **no** grown
     /// bucket (its ε-windows are unchanged, so its row is unchanged by
     /// construction) and resolving only affected old pairs plus all new
-    /// pairs. Byte-identical to `self.shard(h, pairs, 0..pairs.len())`.
+    /// pairs, which copy the row of an equal earlier target as in
+    /// [`shard`](Self::shard). Which old rows are reused is decided once
+    /// per distinct concept.
+    /// Byte-identical to `self.shard(h, pairs, 0..pairs.len())`.
     ///
     /// `prev` must be the predecessor plan's full-range shard. Returns
     /// the shard plus the indices of old pairs that were re-resolved —
@@ -587,44 +616,41 @@ impl GraphBuildPlan {
     ) -> (GraphShard, Vec<u32>) {
         assert_eq!(prev.start, 0, "prev must be a full-range shard");
         assert_eq!(prev.len(), delta.prev_pairs, "prev covers the old pairs");
-        let src = self.ancestor_source(h);
-        scratch.reserve(self.n_cands);
-        scratch.bind(self, h.node_count());
         let mut changed = vec![false; self.concepts.len()];
         for &b in &delta.changed_buckets {
             changed[b as usize] = true;
         }
-        let mut pair_off = Vec::with_capacity(pairs.len() + 1);
-        pair_off.push(0u32);
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut window_hits = 0u64;
+        let mut w = ShardWriter::new(self, h, scratch, 0, pairs);
+        // An old row must be re-resolved iff its ancestor row meets a
+        // grown bucket: walked once per distinct concept (the sorted
+        // targets hold each concept's targets together).
+        let mut affected = vec![delta.root_changed; delta.prev_pairs];
+        if !delta.root_changed {
+            for on_concept in w.scratch.keys.chunk_by(|a, b| a >> 96 == b >> 96) {
+                let concept = NodeId::from_index((on_concept[0] >> 96) as usize);
+                let hit = w.src.ancestors(concept).iter().any(|&(anc, _)| {
+                    self.bucket_of(&w.scratch.slot, anc)
+                        .is_some_and(|b| changed[b])
+                });
+                for &k in on_concept {
+                    if let Some(a) = affected.get_mut(k as u32 as usize) {
+                        *a = hit;
+                    }
+                }
+            }
+        }
         let mut recomputed = Vec::new();
         for (qi, &q) in pairs.iter().enumerate() {
-            let reusable = qi < delta.prev_pairs
-                && !delta.root_changed
-                && src
-                    .ancestors(q.concept)
-                    .iter()
-                    .all(|&(anc, _)| self.bucket_of(scratch, anc).is_none_or(|b| !changed[b]));
-            if reusable {
-                edges.extend_from_slice(prev.row(qi));
+            if qi >= delta.prev_pairs {
+                w.resolve(q);
+            } else if affected[qi] {
+                recomputed.push(qi as u32);
+                w.resolve(q);
             } else {
-                if qi < delta.prev_pairs {
-                    recomputed.push(qi as u32);
-                }
-                self.resolve_pair(src, q, scratch, &mut edges, &mut window_hits);
+                w.copy(prev.row(qi));
             }
-            pair_off.push(u32::try_from(edges.len()).expect("shard edge count exceeds u32"));
         }
-        (
-            GraphShard {
-                start: 0,
-                pair_off,
-                edges,
-                window_hits,
-            },
-            recomputed,
-        )
+        (w.shard, recomputed)
     }
 
     /// The exact greedy initial-gain vector (one `u64` per candidate,
@@ -705,6 +731,88 @@ impl GraphBuildPlan {
     }
 }
 
+/// A shard under construction: rows of consecutive targets appended in
+/// order, each resolved, copied from an equal earlier target's row, or
+/// copied from elsewhere.
+struct ShardWriter<'a, 'h> {
+    plan: &'a GraphBuildPlan,
+    src: AncestorSource<'h>,
+    scratch: &'a mut GraphBuildScratch,
+    shard: GraphShard,
+}
+
+impl<'a, 'h> ShardWriter<'a, 'h> {
+    /// Bind `scratch` to `plan`, group `targets`, and start an empty
+    /// shard for them from pair `start`.
+    fn new(
+        plan: &'a GraphBuildPlan,
+        h: &'h Hierarchy,
+        scratch: &'a mut GraphBuildScratch,
+        start: usize,
+        targets: &[Pair],
+    ) -> Self {
+        scratch.row.reserve(plan.n_cands);
+        scratch.bind(plan, h.node_count());
+        scratch.group(targets);
+        let mut pair_off = Vec::with_capacity(targets.len() + 1);
+        pair_off.push(0);
+        ShardWriter {
+            plan,
+            src: plan.ancestor_source(h),
+            scratch,
+            shard: GraphShard {
+                start,
+                pair_off,
+                edges: Vec::new(),
+                window_hits: 0,
+                rows_reused: 0,
+            },
+        }
+    }
+
+    /// Append the next target's row, `q`: a copy of the row the first
+    /// equal target got earlier in this shard, or a fresh resolution.
+    fn resolve(&mut self, q: Pair) {
+        // Real assert, not debug: `Pair.sentiment` is a pub field, so
+        // a literal-constructed NaN can bypass `Pair::new`'s
+        // sanitization, and a NaN here would silently corrupt the
+        // sorted-bucket windows in release builds.
+        assert!(
+            !q.sentiment.is_nan(),
+            "NaN sentiments must be sanitized by Pair::new before building"
+        );
+        let shard = &mut self.shard;
+        let i = shard.pair_off.len() - 1;
+        let f = self.scratch.first[i] as usize;
+        if f < i {
+            let (a, b) = (shard.pair_off[f], shard.pair_off[f + 1]);
+            shard.edges.extend_from_within(a as usize..b as usize);
+            shard.rows_reused += 1;
+        } else {
+            self.plan.resolve_pair(
+                self.src,
+                q,
+                &self.scratch.slot,
+                &mut self.scratch.row,
+                &mut shard.edges,
+                &mut shard.window_hits,
+            );
+        }
+        self.end_row();
+    }
+
+    /// Append a row computed elsewhere (a reused predecessor row).
+    fn copy(&mut self, row: &[(u32, u32)]) {
+        self.shard.edges.extend_from_slice(row);
+        self.end_row();
+    }
+
+    fn end_row(&mut self) {
+        let end = u32::try_from(self.shard.edges.len()).expect("shard edge count exceeds u32");
+        self.shard.pair_off.push(end);
+    }
+}
+
 /// What changed between a plan and its [`append`](GraphBuildPlan::append)
 /// successor: the prefix sizes plus which concept buckets grew. Drives
 /// row reuse in [`GraphBuildPlan::shard_append`] and key reuse in
@@ -749,9 +857,11 @@ pub struct GraphShard {
     pair_off: Vec<u32>,
     /// `(candidate, dist)` runs.
     edges: Vec<(u32, u32)>,
-    /// Candidates examined through ε-windows and root buckets — a
-    /// deterministic per-pair sum, so totals are sharding-invariant.
+    /// Candidates examined through ε-windows and root buckets by the
+    /// rows actually resolved (a copied row examines none).
     window_hits: u64,
+    /// Rows copied from an equal earlier target's row instead of resolved.
+    rows_reused: u64,
 }
 
 impl GraphShard {
@@ -1008,9 +1118,10 @@ impl CoverageGraph {
         let mut pair_off = Vec::with_capacity(n_pairs + 1);
         pair_off.push(0u32);
         let mut pair_rows = Vec::with_capacity(n_edges);
-        let mut window_hits = 0u64;
+        let (mut window_hits, mut rows_reused) = (0u64, 0u64);
         for s in shards {
             window_hits += s.window_hits;
+            rows_reused += s.rows_reused;
             let base = pair_rows.len() as u32;
             pair_off.extend(s.pair_off[1..].iter().map(|&o| base + o));
             pair_rows.extend_from_slice(&s.edges);
@@ -1029,6 +1140,7 @@ impl CoverageGraph {
         obs.add("graph.edges", n_edges as u64);
         obs.add("graph.closure.entries", plan.closure_entries);
         obs.add("graph.window.hits", window_hits);
+        obs.add("graph.rows.reused", rows_reused);
         obs.add("graph.sharded_items", n_pairs as u64);
         CoverageGraph {
             granularity,
@@ -1723,7 +1835,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_survives_reuse_across_instances_and_epoch_wrap() {
+    fn scratch_survives_reuse_across_instances() {
         let (h, ids) = dag();
         let pairs = dag_pairs(&ids);
         let (h2, _r, a, b, c) = {
@@ -1732,8 +1844,6 @@ mod tests {
         };
         let small = vec![Pair::new(a, 0.1), Pair::new(b, 0.2), Pair::new(c, 0.3)];
         let mut scratch = GraphBuildScratch::new();
-        // Force the epoch counter through its wrap-around reset path.
-        scratch.epoch = u32::MAX - 2;
         for _ in 0..8 {
             let big =
                 CoverageGraph::for_pairs_with(&h, &pairs, 0.5, GraphImpl::Indexed, &mut scratch);

@@ -106,28 +106,30 @@ pub struct ExtractedItem {
 impl ExtractedItem {
     /// Pair-index groups per sentence (the k-Sentences candidates).
     pub fn sentence_groups(&self) -> Vec<Vec<usize>> {
-        self.sentences
-            .iter()
-            .map(|s| s.pair_indices.clone().collect())
-            .collect()
+        self.sentence_pair_runs().map(Iterator::collect).collect()
     }
 
     /// Pair-index groups per review (the k-Reviews candidates).
     pub fn review_groups(&self) -> Vec<Vec<usize>> {
-        self.reviews
-            .iter()
-            .map(|r| self.review_pairs(r.clone()).collect())
-            .collect()
+        self.review_pair_runs().map(Iterator::collect).collect()
     }
 
-    /// The run of [`pairs`](Self::pairs) produced by a run of
-    /// [`sentences`](Self::sentences).
-    fn review_pairs(&self, sentences: Range<usize>) -> Range<usize> {
-        let run = &self.sentences[sentences];
-        match (run.first(), run.last()) {
-            (Some(a), Some(b)) => a.pair_indices.start..b.pair_indices.end,
-            _ => 0..0,
-        }
+    /// Each sentence's run of [`pairs`](Self::pairs): the
+    /// [`sentence_groups`](Self::sentence_groups) as ranges.
+    pub fn sentence_pair_runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.sentences.iter().map(|s| s.pair_indices.clone())
+    }
+
+    /// Each review's run of [`pairs`](Self::pairs): the
+    /// [`review_groups`](Self::review_groups) as ranges.
+    pub fn review_pair_runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.reviews.iter().map(|r| {
+            let run = &self.sentences[r.clone()];
+            match (run.first(), run.last()) {
+                (Some(a), Some(b)) => a.pair_indices.start..b.pair_indices.end,
+                _ => 0..0,
+            }
+        })
     }
 
     /// The text behind a pooled token ID.

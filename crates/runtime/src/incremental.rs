@@ -86,14 +86,6 @@ impl GraphArtifacts {
     }
 }
 
-fn groups_of(ex: &ExtractedItem, granularity: Granularity) -> Vec<Vec<usize>> {
-    match granularity {
-        Granularity::Pairs => unreachable!("pairs granularity caches no graph artifacts"),
-        Granularity::Sentences => ex.sentence_groups(),
-        Granularity::Reviews => ex.review_groups(),
-    }
-}
-
 impl ItemArtifacts {
     /// Build artifacts for `item` from scratch under `opts`.
     pub fn build(
@@ -141,11 +133,11 @@ impl ItemArtifacts {
         if opts.granularity == Granularity::Pairs {
             return None;
         }
-        let groups = groups_of(ex, opts.granularity);
+        let groups = scratch.groups.fill(ex, opts.granularity);
         let plan = GraphBuildPlan::new_with(
             hierarchy,
             &ex.pairs,
-            Some(&groups),
+            Some(groups),
             opts.eps,
             opts.ancestor_impl,
         );
@@ -200,8 +192,8 @@ impl ItemArtifacts {
         );
         let graph = match &self.graph {
             Some(prev) if prev.matches(opts) => {
-                let groups = groups_of(&extracted, opts.granularity);
-                let (plan, delta) = prev.plan.append(hierarchy, &extracted.pairs, Some(&groups));
+                let groups = scratch.groups.fill(&extracted, opts.granularity);
+                let (plan, delta) = prev.plan.append(hierarchy, &extracted.pairs, Some(groups));
                 let (shard, recomputed) = plan.shard_append(
                     hierarchy,
                     &extracted.pairs,

@@ -110,7 +110,41 @@ pub struct WorkerScratch {
     pub graph_build: GraphBuildScratch,
     /// Buffers and per-worker caches of the interned extraction path.
     pub extract: ExtractScratch,
+    /// Reused sentence or review groups of the item being built.
+    groups: GroupLists,
     compress_map: HashMap<(NodeId, u64), usize>,
+}
+
+/// The candidate groups of an item at sentence or review granularity,
+/// in lists kept across items: each list is cleared and refilled in
+/// place, so a warm scratch allocates none per sentence or review.
+#[derive(Debug, Default)]
+struct GroupLists {
+    lists: Vec<Vec<usize>>,
+}
+
+impl GroupLists {
+    /// `ex`'s groups at `granularity` — what
+    /// [`ExtractedItem::sentence_groups`] or
+    /// [`ExtractedItem::review_groups`] returns — in the reused lists.
+    fn fill(&mut self, ex: &ExtractedItem, granularity: Granularity) -> &[Vec<usize>] {
+        let mut n = 0;
+        let mut push = |run: std::ops::Range<usize>| {
+            if n == self.lists.len() {
+                self.lists.push(Vec::new());
+            }
+            let list = &mut self.lists[n];
+            list.clear();
+            list.extend(run);
+            n += 1;
+        };
+        match granularity {
+            Granularity::Pairs => unreachable!("pairs granularity has no groups"),
+            Granularity::Sentences => ex.sentence_pair_runs().for_each(&mut push),
+            Granularity::Reviews => ex.review_pair_runs().for_each(&mut push),
+        }
+        &self.lists[..n]
+    }
 }
 
 impl WorkerScratch {
@@ -830,25 +864,21 @@ pub fn item_graph(
     imp: GraphImpl,
     scratch: &mut WorkerScratch,
 ) -> CoverageGraph {
-    let groups = match opts.granularity {
-        Granularity::Pairs => {
-            return CoverageGraph::for_weighted_pairs_with_ancestor(
-                hierarchy,
-                &scratch.pair_buf,
-                &scratch.weight_buf,
-                opts.eps,
-                imp,
-                opts.ancestor_impl,
-                &mut scratch.graph_build,
-            )
-        }
-        Granularity::Sentences => ex.sentence_groups(),
-        Granularity::Reviews => ex.review_groups(),
-    };
+    if opts.granularity == Granularity::Pairs {
+        return CoverageGraph::for_weighted_pairs_with_ancestor(
+            hierarchy,
+            &scratch.pair_buf,
+            &scratch.weight_buf,
+            opts.eps,
+            imp,
+            opts.ancestor_impl,
+            &mut scratch.graph_build,
+        );
+    }
     CoverageGraph::for_groups_with_ancestor(
         hierarchy,
         &ex.pairs,
-        &groups,
+        scratch.groups.fill(ex, opts.granularity),
         opts.eps,
         opts.granularity,
         imp,

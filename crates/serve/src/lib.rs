@@ -464,8 +464,10 @@ struct Shared {
     state: RwLock<Arc<EpochState>>,
     /// Serializes concurrent ingests: successors are built under this
     /// mutex (not the state lock), so readers keep snapshotting freely
-    /// while at most one successor is under construction.
-    ingest_lock: Mutex<()>,
+    /// while at most one successor is under construction. It guards the
+    /// ingest's own scratch, whose buffers and memos (the stem memo, the
+    /// graph build's slot table) then last across POSTs.
+    ingest: Mutex<WorkerScratch>,
     /// Bounded history of retired snapshots (see [`HISTORY_LIMIT`]).
     history: Mutex<VecDeque<Arc<EpochState>>>,
     /// The signature per-item artifacts are built under (the daemon
@@ -621,7 +623,7 @@ fn launch(
     );
     let shared = Arc::new(Shared {
         state: RwLock::new(state),
-        ingest_lock: Mutex::new(()),
+        ingest: Mutex::new(WorkerScratch::new()),
         history: Mutex::new(VecDeque::new()),
         artifact_opts,
         cache: Mutex::new(cache),
@@ -1502,7 +1504,7 @@ fn ingest(req: &Request, shared: &Shared) -> Result<(usize, usize, u64), HttpErr
     // write lock is NOT held while the successor is built — readers
     // (`snapshot()`) keep going throughout; they only contend on the
     // final pointer swap.
-    let _ingest = shared.ingest_lock.lock().expect("ingest lock");
+    let mut scratch = shared.ingest.lock().expect("ingest lock");
     let current = shared.snapshot();
     let Some(prev) = current.items.get(item) else {
         return Err(HttpError::new(
@@ -1535,14 +1537,25 @@ fn ingest(req: &Request, shared: &Shared) -> Result<(usize, usize, u64), HttpErr
     // first demand.
     let artifacts = OnceLock::new();
     if let Some(prev_art) = prev.artifacts.get() {
-        let mut scratch = WorkerScratch::new();
-        let updated = prev_art.update(
-            &current.hierarchy,
-            &current.extractor,
-            &shared.artifact_opts,
-            &new_item,
-            &mut scratch,
-        );
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            prev_art.update(
+                &current.hierarchy,
+                &current.extractor,
+                &shared.artifact_opts,
+                &new_item,
+                &mut scratch,
+            )
+        }));
+        let updated = caught.map_err(|payload| {
+            // The panic may have left the scratch mid-update; replace it
+            // before the next ingest reuses it. Nothing was published.
+            *scratch = WorkerScratch::new();
+            osa_obs::global().add("serve.panics", 1);
+            HttpError::new(
+                500,
+                format!("ingest panicked: {}", panic_message(payload.as_ref())),
+            )
+        })?;
         let _ = artifacts.set(Arc::new(updated));
         osa_obs::global().add("serve.ingest.incremental", 1);
     }

@@ -93,28 +93,45 @@ pub struct ExtractScratch {
     epoch: u64,
     stem_hits: u64,
     stem_misses: u64,
+    /// The item's `text.tokens`, `text.concept_matches` and
+    /// `text.lexicon_hits`, flushed once by
+    /// [`finish_item`](Self::finish_item).
+    tokens: u64,
+    concept_matches: u64,
+    lexicon_hits: u64,
 }
 
 impl ExtractScratch {
     /// Start a new item: bumps the remap epoch, clears the per-item local
-    /// interner and zeroes the stem-cache counters.
+    /// interner and zeroes the item's counters.
     pub fn begin_item(&mut self) {
         self.epoch += 1;
         self.local.clear();
         self.item_of_local.clear();
-        self.stem_hits = 0;
-        self.stem_misses = 0;
+        self.reset_counts();
     }
 
-    /// Finish an item: flushes the per-item stem-cache hit/miss counts to
-    /// the metrics registry. The counts are a deterministic function of
-    /// the item alone, so their corpus totals are jobs-invariant.
+    /// Finish an item: flushes the per-item counts (stem-cache hits and
+    /// misses, tokens, concept matches, lexicon hits) to the metrics
+    /// registry, one registry call each per item rather than per
+    /// sentence. The counts are a deterministic function of the item
+    /// alone, so their corpus totals are jobs-invariant.
     pub fn finish_item(&mut self) {
         let obs = osa_obs::global();
         obs.add("extract.stem_cache.hits", self.stem_hits);
         obs.add("extract.stem_cache.misses", self.stem_misses);
+        obs.add("text.tokens", self.tokens);
+        obs.add("text.concept_matches", self.concept_matches);
+        obs.add("text.lexicon_hits", self.lexicon_hits);
+        self.reset_counts();
+    }
+
+    fn reset_counts(&mut self) {
         self.stem_hits = 0;
         self.stem_misses = 0;
+        self.tokens = 0;
+        self.concept_matches = 0;
+        self.lexicon_hits = 0;
     }
 
     /// Split `text` into sentences exactly as
@@ -298,7 +315,8 @@ impl InternedExtractor {
     /// global ID (shared, or per-item local for out-of-vocabulary words)
     /// and its stem ID. Shared stems are precomputed; local stems are
     /// computed once per distinct word per item, backed by the worker's
-    /// string-level stem memo.
+    /// string-level stem memo. The tokens are counted in `scratch` until
+    /// [`ExtractScratch::finish_item`].
     pub fn tokenize_sentence(&self, text: &str, scratch: &mut ExtractScratch) {
         let ExtractScratch {
             text_buf,
@@ -310,9 +328,11 @@ impl InternedExtractor {
             stem_memo_bytes,
             stem_hits,
             stem_misses,
+            tokens,
             ..
         } = scratch;
         tokenize_into(text, text_buf, spans);
+        *tokens += spans.len() as u64;
         token_ids.clear();
         stem_ids.clear();
         for &(a, b) in spans.iter() {
@@ -362,7 +382,9 @@ impl InternedExtractor {
     /// into `scratch.mentions()`. Exact-form matches first, then
     /// stem-normalized matches on positions the exact pass left
     /// uncovered — the same two-pass policy as
-    /// [`ConceptMatcher::find`](crate::ConceptMatcher::find).
+    /// [`ConceptMatcher::find`](crate::ConceptMatcher::find). The
+    /// mentions are counted in `scratch` until
+    /// [`ExtractScratch::finish_item`].
     pub fn find(&self, scratch: &mut ExtractScratch) {
         let ExtractScratch {
             token_ids,
@@ -371,6 +393,7 @@ impl InternedExtractor {
             matches,
             used,
             mentions,
+            concept_matches,
             ..
         } = scratch;
         mentions.clear();
@@ -399,15 +422,16 @@ impl InternedExtractor {
             });
         }
         mentions.sort_by_key(|m| m.start);
-        osa_obs::global().add("text.concept_matches", mentions.len() as u64);
+        *concept_matches += mentions.len() as u64;
     }
 
     /// Lexicon-score the current sentence in `[-1, 1]`, bit-identical to
     /// [`SentimentLexicon::score_tokens`] on the same token text (same
-    /// lookups, same floating-point operation order).
+    /// lookups, same floating-point operation order). The lexicon hits are
+    /// counted in `scratch` until [`ExtractScratch::finish_item`].
     ///
     /// [`SentimentLexicon::score_tokens`]: crate::SentimentLexicon::score_tokens
-    pub fn score(&self, scratch: &ExtractScratch) -> f64 {
+    pub fn score(&self, scratch: &mut ExtractScratch) -> f64 {
         let ids = &scratch.token_ids;
         let stems = &scratch.stem_ids;
         let mut total = 0.0;
@@ -436,7 +460,7 @@ impl InternedExtractor {
             total += v.clamp(-1.0, 1.0);
             hits += 1;
         }
-        osa_obs::global().add("text.lexicon_hits", hits as u64);
+        scratch.lexicon_hits += hits as u64;
         if hits == 0 {
             0.0
         } else {
@@ -641,7 +665,7 @@ mod tests {
             "{sentence:?}"
         );
 
-        let got = ie.score(&scratch);
+        let got = ie.score(&mut scratch);
         let want = lexicon.score_tokens(&tokens);
         assert_eq!(
             got.to_bits(),

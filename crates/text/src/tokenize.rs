@@ -16,6 +16,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
     let mut buf = String::new();
     let mut spans = Vec::new();
     tokenize_into(text, &mut buf, &mut spans);
+    osa_obs::global().add("text.tokens", spans.len() as u64);
     spans
         .iter()
         .map(|&(a, b)| buf[a as usize..b as usize].to_owned())
@@ -25,7 +26,8 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// Allocation-reusing tokenizer core: lowercased token text is appended to
 /// `buf` and each token is recorded as a `(start, end)` byte span into it.
 /// Both buffers are cleared first. Token semantics are identical to
-/// [`tokenize`], which is a thin wrapper over this.
+/// [`tokenize`], which is a thin wrapper over this. The caller counts
+/// the tokens (`text.tokens`).
 pub(crate) fn tokenize_into(text: &str, buf: &mut String, spans: &mut Vec<(u32, u32)>) {
     buf.clear();
     spans.clear();
@@ -62,7 +64,6 @@ pub(crate) fn tokenize_into(text: &str, buf: &mut String, spans: &mut Vec<(u32, 
     if let Some(start) = tok_start {
         spans.push((start, buf.len() as u32));
     }
-    osa_obs::global().add("text.tokens", spans.len() as u64);
 }
 
 /// Whether `s` begins with an alphanumeric character.
