@@ -81,6 +81,8 @@ pub use greedy::{GreedySummarizer, LazyGreedySummarizer};
 pub use ilp::__diag_build_model;
 pub use ilp::{IlpSummarizer, LpRelaxationStats};
 pub use local_search::LocalSearchSummarizer;
+/// Tableau bytes the exact solvers' threads keep between solves.
+pub use osa_solver::tableau_pool_bytes;
 /// The exact solvers' error, returned by [`Summarizer::try_summarize_traced`].
 pub use osa_solver::SolverError;
 pub use pair::{compress_pairs, pair_distance, Pair};

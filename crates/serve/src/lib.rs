@@ -644,9 +644,9 @@ fn launch(
         })
         .collect();
 
-    // Background sampler: periodically publish queue depth and busy
-    // workers as gauges, so `/metrics` shows saturation even when no
-    // request happens to be scraping-adjacent.
+    // Background sampler: periodically publish queue depth, busy workers
+    // and the solvers' pooled tableau bytes as gauges, so `/metrics` shows
+    // saturation even when no request happens to be scraping-adjacent.
     let sampler_shared = shared.clone();
     let sampler = std::thread::spawn(move || {
         let obs = osa_obs::global();
@@ -660,6 +660,10 @@ fn launch(
             obs.set_gauge(
                 "serve.workers_busy",
                 sampler_shared.workers_busy.load(Ordering::Relaxed) as i64,
+            );
+            obs.set_gauge(
+                "solver.tableau_pool_bytes",
+                osa_core::tableau_pool_bytes() as i64,
             );
             std::thread::sleep(Duration::from_millis(25));
         }

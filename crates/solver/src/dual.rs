@@ -19,6 +19,10 @@
 //! whole row or the whole right-hand side. The rows themselves stay dense, so
 //! [`MAX_TABLEAU_CELLS`](crate::MAX_TABLEAU_CELLS) still bounds their
 //! storage, checked before the tableau or its column index is allocated.
+//! They are not zero-filled per solve, though: the tableau reuses its
+//! thread's all-zero cell buffer, and dropping it zeroes only the cells
+//! its column index lists (a few percent of the ~550k cells), so a node
+//! of branch and bound no longer pays for its tableau's width up front.
 //!
 //! Scope: requires finite lower bounds (like the primal) and a
 //! non-negative shifted objective; [`solve`] reports

@@ -24,7 +24,10 @@
 //! where the dual looks for its leaving row. The rows stay dense, so a
 //! model whose `rows × (columns + 1)` tableau would exceed
 //! [`MAX_TABLEAU_CELLS`] is refused with [`SolverError::ModelTooLarge`]
-//! before the tableau or its column index is allocated.
+//! before the tableau or its column index is allocated. Each thread
+//! reuses the all-zero cell buffer and bitmap of its last tableau, which
+//! a dropped tableau scrubs per listed cell; [`tableau_pool_bytes`] is
+//! the memory kept that way between solves.
 //!
 //! The solver is deterministic, exact up to floating tolerance, and sized
 //! for the per-item instances the summarization benchmarks produce
@@ -57,3 +60,4 @@ mod tableau;
 pub use branch_bound::IlpOptions;
 pub use error::{SolverError, MAX_TABLEAU_CELLS};
 pub use model::{Cmp, LpMethod, Model, Solution, Status, VarId};
+pub use tableau::tableau_pool_bytes;

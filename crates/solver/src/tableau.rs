@@ -27,6 +27,9 @@
 //! the sign of a cell that stays zero can differ, which no comparison
 //! observes. The dense update survives as the test oracle in `dual.rs`.
 
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use crate::SolverError;
 
 /// A right-hand side below `−TOL` marks its row primal infeasible.
@@ -45,6 +48,45 @@ fn ones(mut bits: u64) -> impl Iterator<Item = usize> {
             i
         })
     })
+}
+
+/// Largest cell buffer a thread keeps between solves: 2^21 cells, 16 MiB
+/// of `f64`, above the largest Figs. 4–5 tableau (958 × 1,854). A
+/// tableau over it frees its buffers when it is dropped.
+const POOL_MAX_CELLS: usize = 1 << 21;
+
+/// Bytes of cell buffers and bitmaps that threads keep between solves.
+static POOLED_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Bytes of tableau memory all threads keep between solves: the all-zero
+/// cell buffers and bitmaps that the next solve on each thread reuses.
+pub fn tableau_pool_bytes() -> usize {
+    POOLED_BYTES.load(Ordering::Relaxed)
+}
+
+/// A thread's all-zero cell buffer and `listed` bitmap, kept between
+/// solves; counted in [`POOLED_BYTES`] while kept.
+#[derive(Default)]
+struct Pooled {
+    a: Vec<f64>,
+    listed: Vec<u64>,
+}
+
+impl Pooled {
+    fn bytes(&self) -> usize {
+        8 * (self.a.len() + self.listed.len())
+    }
+}
+
+impl Drop for Pooled {
+    fn drop(&mut self) {
+        POOLED_BYTES.fetch_sub(self.bytes(), Ordering::Relaxed);
+    }
+}
+
+thread_local! {
+    /// The buffers of the thread's last dropped tableau, scrubbed to zero.
+    static POOL: RefCell<Pooled> = RefCell::default();
 }
 
 /// For every column, the rows whose entry in it has ever been nonzero.
@@ -80,7 +122,8 @@ pub(crate) struct Tableau {
     pub m: usize,
     /// Columns, the right-hand side excluded.
     pub n: usize,
-    /// Row-major `m × n` coefficients; every nonzero cell is listed in
+    /// Row-major `m × n` coefficients, at the front of a buffer that may
+    /// be longer and is zero past them; every nonzero cell is listed in
     /// `cols`, so only [`add`](Self::add), [`clear_row`](Self::clear_row)
     /// and the pivot write them.
     a: Vec<f64>,
@@ -107,13 +150,34 @@ impl Tableau {
     /// An all-zero `m × n` tableau, refused with
     /// [`SolverError::ModelTooLarge`] before anything tableau-sized is
     /// allocated when `m × (n + 1)` exceeds
-    /// [`MAX_TABLEAU_CELLS`](crate::MAX_TABLEAU_CELLS).
+    /// [`MAX_TABLEAU_CELLS`](crate::MAX_TABLEAU_CELLS). Its cell buffer
+    /// and bitmap are the thread's pooled ones when those are large
+    /// enough, else fresh zeroed allocations: a `resize` would write
+    /// every cell and make untouched pages resident.
     pub fn new(m: usize, n: usize) -> Result<Self, SolverError> {
         SolverError::check_tableau(m, n + 1)?;
+        let (cells, words) = (m * n, (m * n).div_ceil(64));
+        let (mut a, mut listed) = POOL
+            .try_with(|p| {
+                let mut p = p.borrow_mut();
+                POOLED_BYTES.fetch_sub(p.bytes(), Ordering::Relaxed);
+                (std::mem::take(&mut p.a), std::mem::take(&mut p.listed))
+            })
+            .unwrap_or_default();
+        debug_assert!(
+            a.iter().all(|v| v.to_bits() == 0) && listed.iter().all(|&w| w == 0),
+            "a pooled tableau buffer is not all-zero"
+        );
+        if a.len() < cells {
+            a = vec![0.0; cells];
+        }
+        if listed.len() < words {
+            listed = vec![0; words];
+        }
         Ok(Tableau {
             m,
             n,
-            a: vec![0.0; m * n],
+            a,
             b: vec![0.0; m],
             negative: vec![0; m.div_ceil(64)],
             basis: vec![0; m],
@@ -124,7 +188,7 @@ impl Tableau {
                 n,
                 head: vec![NIL; n],
                 links: Vec::new(),
-                listed: vec![0; (m * n).div_ceil(64)],
+                listed,
             },
             prow: Vec::with_capacity(n),
             prow_of: usize::MAX,
@@ -281,6 +345,36 @@ impl Tableau {
     }
 }
 
+impl Drop for Tableau {
+    /// Scrub the cell buffer and the bitmap back to zero and pool them for
+    /// the thread's next tableau: every nonzero cell is listed, so zeroing
+    /// the listed cells word by word, then the words, zeroes both. Buffers
+    /// over [`POOL_MAX_CELLS`], or dropped while the thread panics, are
+    /// freed instead.
+    fn drop(&mut self) {
+        if std::thread::panicking() || self.a.len() > POOL_MAX_CELLS {
+            return;
+        }
+        let (mut a, mut listed) = (
+            std::mem::take(&mut self.a),
+            std::mem::take(&mut self.cols.listed),
+        );
+        for (w, word) in listed[..(self.m * self.n).div_ceil(64)]
+            .iter_mut()
+            .enumerate()
+        {
+            for i in ones(*word) {
+                a[w * 64 + i] = 0.0;
+            }
+            *word = 0;
+        }
+        let kept = Pooled { a, listed };
+        POOLED_BYTES.fetch_add(kept.bytes(), Ordering::Relaxed);
+        // During thread-local teardown the buffers are simply freed.
+        let _ = POOL.try_with(|p| *p.borrow_mut() = kept);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +458,36 @@ mod tests {
         }
         let negative: Vec<usize> = (0..m).filter(|&r| t.rhs()[r] < -TOL).collect();
         assert_eq!(t.negative_rows().collect::<Vec<_>>(), negative);
+    }
+
+    /// The bytes of the buffers this thread keeps.
+    fn pool_len() -> (usize, usize) {
+        POOL.with_borrow(|p| (p.a.len(), p.listed.len()))
+    }
+
+    #[test]
+    fn dropping_a_tableau_pools_its_buffers_scrubbed() {
+        let mut rng = Rng(0x0dd5_eed5);
+        drop(random_tableau(&mut rng));
+        let (cells, words) = pool_len();
+        assert!(cells > 0 && words == cells.div_ceil(64));
+        POOL.with_borrow(|p| {
+            assert!(p.a.iter().all(|v| v.to_bits() == 0));
+            assert!(p.listed.iter().all(|&w| w == 0));
+        });
+    }
+
+    #[test]
+    fn a_tableau_dropped_while_panicking_is_not_pooled() {
+        drop(Tableau::new(3, 70).unwrap());
+        assert_eq!(pool_len(), (210, 4));
+        let unwound = std::panic::catch_unwind(|| {
+            let mut t = Tableau::new(3, 70).unwrap();
+            t.add(2, 69, 1.0);
+            panic!("a solve panics with its tableau alive");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(pool_len(), (0, 0), "a panicking thread kept its buffers");
     }
 
     #[test]

@@ -490,20 +490,29 @@ fn trace_chrome_export_and_debug_error_paths() {
     handle.shutdown();
 }
 
-/// The background sampler publishes queue-depth/busy-worker gauges that
-/// surface on `/metrics` without any explicit instrumentation in the
-/// request path.
+/// The background sampler publishes queue-depth/busy-worker gauges, and
+/// the tableau bytes solver threads keep between solves, that surface on
+/// `/metrics` without any explicit instrumentation in the request path.
 #[test]
 fn sampler_gauges_surface_on_metrics() {
     let handle = start(ServeOptions::default());
     let addr = handle.addr();
     let (s, _, _) = get(addr, "/summary/0");
     assert_eq!(s, 200);
+    // An exact solve leaves its worker's tableau buffers pooled.
+    let (s, _, _) = get(addr, "/summary/0?algo=ilp&granularity=pairs");
+    assert_eq!(s, 200);
     std::thread::sleep(Duration::from_millis(80)); // > one 25ms sampler tick
     let (s, _, metrics) = get(addr, "/metrics");
     assert_eq!(s, 200);
     assert!(metrics.contains("osars_serve_queue_depth"), "{metrics}");
     assert!(metrics.contains("osars_serve_workers_busy"), "{metrics}");
+    let pooled: i64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("osars_solver_tableau_pool_bytes "))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no pool gauge: {metrics}"));
+    assert!(pooled > 0, "{metrics}");
     handle.shutdown();
 }
 
